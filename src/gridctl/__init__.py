@@ -2,11 +2,11 @@
 
 Three dispatch models over one grid representation: a pure network-flow model,
 the classical DC (electrical) model, and a hybrid model where a chosen set of
-buses may redistribute flow freely. On top of those: an in-house LP/MILP
-engine, a min-cost-flow solver used as an independent oracle for the flow
-model, controller-placement search with graph-theoretic certificates, and the
-experiment drivers behind the lambda-sweep, placement and load-scaling
-studies.
+buses may redistribute flow freely. The models are solved as LPs by an
+in-house bounded simplex (`lp_engine`). `graph_algorithms` computes the block
+decomposition and exact vertex covers and forest/cactus feedback vertex sets,
+the candidate controller sets; `power_flow_models` also shifts a flow around
+the cycles of a cactus and checks a fixed flow for electrical feasibility.
 """
 
 from .case_io import SamplingConfig, build_grid, load_case, parse_case

@@ -6,13 +6,15 @@ Supported grammar (subset of the MATPOWER 4.x .m format):
     mpc.baseMVA = <real>;
     mpc.bus = [ <rows> ];        % bus_i type Pd ...
     mpc.gen = [ <rows> ];        % bus Pg Qg Qmax Qmin Vg mBase status Pmax ...
-    mpc.branch = [ <rows> ];     % fbus tbus r x b rateA ...
+    mpc.branch = [ <rows> ];     % fbus tbus r x b rateA rateB rateC ratio angle status ...
     mpc.gencost = [ <rows> ];    % model startup shutdown n c(n-1) ... c0
                                  %   or, for model 1: n pairs x1 y1 x2 y2 ...
 
 `%` starts a comment; rows are whitespace-separated numbers terminated by `;`.
 Columns beyond the ones named above are ignored. rateA = 0 encodes an
-unlimited line per the MATPOWER convention.
+unlimited line per the MATPOWER convention. Generators and branches whose
+status is 0 or less are out of service and dropped; a branch row without the
+status column counts as in service.
 
 Grid construction samples polynomial generator costs into convex PWL curves on
 [0, Pmax], derives each branch loss curve as the PWL sampling of the ohmic
@@ -194,7 +196,8 @@ def parse_case(text: str) -> RawCase:
         if len(coeffs) < needed:
             raise MalformedCase(f"gencost row has {len(coeffs)} coefficients, needs {needed}",
                                 cost_lineno)
-        case.generators.append(GenRecord(int(row[0]), p_max, model, tuple(coeffs)))
+        if row[7] > 0:
+            case.generators.append(GenRecord(int(row[0]), p_max, model, tuple(coeffs)))
 
     bus_ids = {b.bus_id for b in case.buses}
     for lineno, row in matrices["branch"]:
@@ -205,7 +208,8 @@ def parse_case(text: str) -> RawCase:
             raise DanglingBranch(f"branch {u}-{v} references a bus not in the bus table", lineno)
         if row[5] < 0:
             raise MalformedCase(f"negative rateA {row[5]}", lineno)
-        case.branches.append(BranchRecord(u, v, row[2], row[3], row[5]))
+        if len(row) <= 10 or row[10] > 0:
+            case.branches.append(BranchRecord(u, v, row[2], row[3], row[5]))
 
     for g in case.generators:
         if g.bus not in bus_ids:

@@ -1,22 +1,16 @@
-"""In-house LP and MILP solving.
+"""In-house LP solving.
 
-The LP solver is a bounded-variable revised simplex: variables carry two-sided
+The solver is a bounded-variable revised simplex: variables carry two-sided
 bounds (signed branch flows live in [-c, c], angles are free), rows become
 equalities via one slack column each, and an infeasible starting point is
 repaired by a phase-one minimization over artificial columns. Dantzig pricing
 with a Bland's-rule fallback after a degeneracy streak keeps the pivot
 sequence deterministic. The basis inverse is kept explicitly with rank-one
 updates and periodic refactorization.
-
-The MILP solver is a best-first branch-and-bound over LP relaxations,
-branching on the most fractional binary (ties to the lowest index). It
-accepts a warm incumbent and a node limit; when the limit is hit, the best
-incumbent and the remaining bound gap are returned.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 
@@ -25,18 +19,16 @@ from scipy import sparse
 
 INF = math.inf
 
+_TOL = 1e-7  # optimality and primal feasibility tolerance
 _REFACTOR_EVERY = 150
 _BLAND_TRIGGER = 50  # consecutive degenerate pivots before Bland's rule
 _PIVOT_TOL = 1e-9
 _BOUND_EPS = 1e-9
+_TIE_EPS = 1e-10  # ratios this close tie in the ratio test
 
 
 class NumericalBreakdown(RuntimeError):
-    """Pivot magnitude below threshold even after refactorization."""
-
-
-class NodeLimitReached(RuntimeError):
-    """MILP node limit hit before any incumbent was found."""
+    """Singular basis, iteration limit, or primal residual above tolerance."""
 
 
 class LpStatus:
@@ -54,7 +46,6 @@ class LinearProgram:
     def __init__(self):
         self.lower: list[float] = []
         self.upper: list[float] = []
-        self.names: list[str] = []
         self.obj: dict[int, float] = {}
         self.obj_constant = 0.0
         self.rows: list[dict[int, float]] = []
@@ -74,7 +65,6 @@ class LinearProgram:
             raise ValueError(f"variable {name!r}: empty bound interval [{lower}, {upper}]")
         self.lower.append(lower)
         self.upper.append(upper)
-        self.names.append(name or f"x{len(self.names)}")
         return len(self.lower) - 1
 
     def add_constraint(self, coeffs: dict[int, float], sense: str, rhs: float) -> int:
@@ -105,13 +95,11 @@ class LinearProgram:
     def row_activity(self, row: int, x) -> float:
         return float(sum(a * x[j] for j, a in self.rows[row].items()))
 
-    def feasibility_violation(self, x, extra_bounds: dict[int, tuple[float, float]] | None = None) -> float:
+    def feasibility_violation(self, x) -> float:
         """Largest scaled constraint/bound violation of x (0 when feasible)."""
         worst = 0.0
         for j in range(self.n_vars):
             lo, hi = self.lower[j], self.upper[j]
-            if extra_bounds and j in extra_bounds:
-                lo, hi = extra_bounds[j]
             scale = 1.0 + min(abs(b) for b in (lo, hi) if not math.isinf(b)) \
                 if not (math.isinf(lo) and math.isinf(hi)) else 1.0
             worst = max(worst, (lo - x[j]) / scale, (x[j] - hi) / scale)
@@ -126,19 +114,6 @@ class LinearProgram:
 
 
 @dataclass
-class MixedIntegerProgram:
-    base: LinearProgram
-    binaries: list[int]
-
-    def __post_init__(self):
-        for j in self.binaries:
-            if not (0 <= j < self.base.n_vars):
-                raise ValueError(f"binary index {j} out of range")
-            if self.base.lower[j] < 0 or self.base.upper[j] > 1:
-                raise ValueError(f"binary variable {j} must have bounds within [0, 1]")
-
-
-@dataclass
 class LpSolution:
     status: str
     values: np.ndarray | None = None
@@ -148,204 +123,104 @@ class LpSolution:
     ray: np.ndarray | None = None  # primal ray (unbounded) / Farkas row ray (infeasible)
     iterations: int = 0
 
-    @property
-    def optimal(self) -> bool:
-        return self.status == LpStatus.OPTIMAL
-
-
-@dataclass
-class MipConfig:
-    tol: float = 1e-7
-    int_tol: float = 1e-6
-    node_limit: int = 100000
-    incumbent: np.ndarray | None = None
-    stop_at_first_incumbent: bool = False
-
-
-@dataclass
-class MipResult:
-    solution: LpSolution
-    proved_optimal: bool
-    best_bound: float
-    nodes: int
-
-    @property
-    def status(self) -> str:
-        return self.solution.status
-
 
 class _Simplex:
-    """Equality-form working problem A x + I s + D a = b with bounds."""
+    """Equality-form working problem A x + I s + D a = b with bounds.
 
-    def __init__(self, lp: LinearProgram, tol: float,
-                 bound_override: dict[int, tuple[float, float]] | None = None):
+    Columns are structural | slack | artificial. Each row whose slack cannot
+    absorb the starting residual gets an artificial column, a signed unit
+    column in [0, inf) that starts basic; artificials never enter the basis.
+    """
+
+    def __init__(self, lp: LinearProgram):
         n, m = lp.n_vars, lp.n_rows
         self.n_struct = n
         self.m = m
-        self.tol = tol
+        self.total = n + m  # index of the first artificial column
         self.iterations = 0
+        self.max_iter = 2000 + 50 * (m + self.total)
 
-        lower = np.array(lp.lower, dtype=float)
-        upper = np.array(lp.upper, dtype=float)
-        if bound_override:
-            for j, (lo, hi) in bound_override.items():
-                lower[j], upper[j] = lo, hi
-
-        # columns: structural | slack | artificial (artificials appended later)
-        data: list[float] = []
-        indices: list[int] = []
-        indptr = [0]
-        col_of_row: list[dict[int, float]] = [dict() for _ in range(n)]
-        for i, row in enumerate(lp.rows):
-            for j, a in row.items():
-                col_of_row[j][i] = a
-        for j in range(n):
-            for i in sorted(col_of_row[j]):
-                indices.append(i)
-                data.append(col_of_row[j][i])
-            indptr.append(len(data))
-        slack_lo, slack_hi = [], []
-        for i, sense in enumerate(lp.senses):
-            indices.append(i)
-            data.append(1.0)
-            indptr.append(len(data))
-            if sense == "<=":
-                slack_lo.append(0.0)
-                slack_hi.append(INF)
-            elif sense == ">=":
-                slack_lo.append(-INF)
-                slack_hi.append(0.0)
-            else:
-                slack_lo.append(0.0)
-                slack_hi.append(0.0)
-
-        self.total = n + m
-        self.A = sparse.csc_matrix(
-            (np.array(data), np.array(indices, dtype=np.int32), np.array(indptr, dtype=np.int32)),
-            shape=(m, self.total))
-        self.AT = sparse.csr_matrix(self.A.T)
+        rows = np.array([i for i, row in enumerate(lp.rows) for _ in row], dtype=np.int64)
+        cols = np.array([j for row in lp.rows for j in row], dtype=np.int64)
+        vals = np.array([a for row in lp.rows for a in row.values()], dtype=float)
+        struct = sparse.csc_matrix((vals, (rows, cols)), shape=(m, n))
         self.b = np.array(lp.rhs, dtype=float)
-        self.lower = np.concatenate([lower, slack_lo])
-        self.upper = np.concatenate([upper, slack_hi])
-        self.c = np.zeros(self.total)
+        slack_lo = np.array([-INF if s == ">=" else 0.0 for s in lp.senses])
+        slack_hi = np.array([INF if s == "<=" else 0.0 for s in lp.senses])
+        lower = np.concatenate([lp.lower, slack_lo])
+        upper = np.concatenate([lp.upper, slack_hi])
+
+        # start: every structural nonbasic at its finite bound nearest zero,
+        # every slack at the value nearest its row's residual
+        x = np.zeros(self.total)
+        finite_lo = ~np.isinf(lower)
+        finite_hi = ~np.isinf(upper)
+        use_lo = finite_lo & (~finite_hi | (np.abs(lower) <= np.abs(upper)))
+        use_hi = finite_hi & ~use_lo
+        x[use_lo] = lower[use_lo]
+        x[use_hi] = upper[use_hi]
+        resid = self.b - struct @ x[:n]
+        x[n:] = np.clip(resid, slack_lo, slack_hi)
+        fits = (slack_lo - 1e-12 <= resid) & (resid <= slack_hi + 1e-12)
+        art_rows = np.flatnonzero(~fits)
+        n_art = art_rows.size
+        signs = np.where(resid[art_rows] >= x[n + art_rows], 1.0, -1.0)
+
+        self.A = sparse.hstack([
+            struct,
+            sparse.identity(m, format="csc"),
+            sparse.csc_matrix((signs, (art_rows, np.arange(n_art))), shape=(m, n_art)),
+        ], format="csc")
+        self.AT = self.A.T.tocsr()
+        self.lower = np.concatenate([lower, np.zeros(n_art)])
+        self.upper = np.concatenate([upper, np.full(n_art, INF)])
+        self.x = np.concatenate([x, np.zeros(n_art)])
+        self.c = np.zeros(self.total + n_art)
         for j, a in lp.obj.items():
             self.c[j] = a
+        self.art_cost = np.zeros(self.total + n_art)
+        self.art_cost[self.total:] = 1.0
 
-        # start: every structural nonbasic at its finite bound nearest zero
-        x = np.zeros(self.total)
-        finite_lo = ~np.isinf(self.lower)
-        finite_hi = ~np.isinf(self.upper)
-        use_lo = finite_lo & (~finite_hi | (np.abs(self.lower) <= np.abs(self.upper)))
-        use_hi = finite_hi & ~use_lo
-        x[use_lo] = self.lower[use_lo]
-        x[use_hi] = self.upper[use_hi]
-        self.x = x
-
-        # basis: slack per row when its target value fits the slack bounds,
-        # otherwise an artificial column carrying the residual
-        resid = self.b - self.A[:, :n] @ x[:n]
-        self.basis = np.empty(m, dtype=np.int64)
-        self.in_basis = np.zeros(self.total, dtype=bool)
-        art_rows: list[int] = []
-        art_signs: list[float] = []
-        for i in range(m):
-            s = n + i
-            if self.lower[s] - 1e-12 <= resid[i] <= self.upper[s] + 1e-12:
-                self.x[s] = min(max(resid[i], self.lower[s]), self.upper[s])
-                self.basis[i] = s
-                self.in_basis[s] = True
-            else:
-                self.x[s] = min(max(resid[i], self.lower[s]), self.upper[s])
-                gap = resid[i] - self.x[s]
-                art_rows.append(i)
-                art_signs.append(1.0 if gap >= 0 else -1.0)
-
-        self.n_art = len(art_rows)
-        self.art_rows = np.array(art_rows, dtype=np.int64)
-        self.art_signs = np.array(art_signs)
-        self.x_art = np.zeros(self.n_art)
-        self.art_lo = np.zeros(self.n_art)
-        self.art_hi = np.full(self.n_art, INF)
-        resid2 = self.b - self.A @ self.x
-        for k, i in enumerate(art_rows):
-            self.x_art[k] = abs(resid2[i])
-            self.basis[i] = self.total + k
-
+        # basis: the slack of each row, or its artificial when it has one
+        self.basis = np.arange(n, n + m)
+        self.basis[art_rows] = self.total + np.arange(n_art)
+        self.in_basis = np.zeros(self.total + n_art, dtype=bool)
+        self.in_basis[self.basis] = True
         self.b_inv = np.eye(m)
         self._refactor()
 
-    # -- column/bound access (artificials live past self.total) ---------------
-
-    def _col_dense(self, j: int) -> np.ndarray:
-        col = np.zeros(self.m)
-        if j >= self.total:
-            k = j - self.total
-            col[self.art_rows[k]] = self.art_signs[k]
-        else:
-            lo, hi = self.A.indptr[j], self.A.indptr[j + 1]
-            col[self.A.indices[lo:hi]] = self.A.data[lo:hi]
-        return col
-
     def _ftran(self, j: int) -> np.ndarray:
         """B^-1 column j, using column sparsity."""
-        if j >= self.total:
-            k = j - self.total
-            return self.b_inv[:, self.art_rows[k]] * self.art_signs[k]
         lo, hi = self.A.indptr[j], self.A.indptr[j + 1]
         return self.b_inv[:, self.A.indices[lo:hi]] @ self.A.data[lo:hi]
-
-    def _lo(self, j: int) -> float:
-        return self.art_lo[j - self.total] if j >= self.total else self.lower[j]
-
-    def _hi(self, j: int) -> float:
-        return self.art_hi[j - self.total] if j >= self.total else self.upper[j]
-
-    def _get(self, j: int) -> float:
-        return self.x_art[j - self.total] if j >= self.total else self.x[j]
-
-    def _set(self, j: int, v: float) -> None:
-        if j >= self.total:
-            self.x_art[j - self.total] = v
-        else:
-            self.x[j] = v
 
     def _refactor(self) -> None:
         if self.m == 0:
             return
-        cols = np.column_stack([self._col_dense(j) for j in self.basis])
         try:
-            self.b_inv = np.linalg.inv(cols)
+            self.b_inv = np.linalg.inv(self.A[:, self.basis].toarray())
         except np.linalg.LinAlgError:
             raise NumericalBreakdown("singular basis") from None
         # recompute basic values from the nonbasic point
         x_nb = np.where(self.in_basis, 0.0, self.x)
-        rhs = self.b - self.A @ x_nb
-        xb = self.b_inv @ rhs
-        for i in range(self.m):
-            self._set(self.basis[i], xb[i])
+        self.x[self.basis] = self.b_inv @ (self.b - self.A @ x_nb)
 
-    def _duals(self, cost: np.ndarray, art_cost: float) -> np.ndarray:
-        cb = np.empty(self.m)
-        for i in range(self.m):
-            j = self.basis[i]
-            cb[i] = art_cost if j >= self.total else cost[j]
-        return cb @ self.b_inv
-
-    def _reduced(self, cost: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return cost - self.AT @ y
+    def _duals(self, cost: np.ndarray) -> np.ndarray:
+        return cost[self.basis] @ self.b_inv
 
     def _entering(self, d: np.ndarray, bland: bool) -> tuple[int, float] | None:
         x, lo, hi = self.x, self.lower, self.upper
         nb = ~self.in_basis & (lo != hi)
+        nb[self.total:] = False
         free = np.isinf(lo) & np.isinf(hi)
-        at_lo = np.zeros(self.total, dtype=bool)
+        at_lo = np.zeros(len(x), dtype=bool)
         fl = ~np.isinf(lo)
         at_lo[fl] = x[fl] <= lo[fl] + _BOUND_EPS * (1 + np.abs(lo[fl]))
-        at_hi = np.zeros(self.total, dtype=bool)
+        at_hi = np.zeros(len(x), dtype=bool)
         fh = ~np.isinf(hi)
         at_hi[fh] = x[fh] >= hi[fh] - _BOUND_EPS * (1 + np.abs(hi[fh]))
-        can_up = nb & (at_lo | free) & (d < -self.tol)
-        can_dn = nb & (at_hi | free) & (d > self.tol)
+        can_up = nb & (at_lo | free) & (d < -_TOL)
+        can_dn = nb & (at_hi | free) & (d > _TOL)
         if bland:
             idx = np.flatnonzero(can_up | can_dn)
             if idx.size == 0:
@@ -354,172 +229,138 @@ class _Simplex:
             return j, 1.0 if can_up[j] else -1.0
         score = np.where(can_up, -d, np.where(can_dn, d, 0.0))
         j = int(np.argmax(score))
-        if score[j] <= self.tol:
+        if score[j] <= _TOL:
             return None
         return j, 1.0 if can_up[j] else -1.0
 
-    def run(self, cost: np.ndarray, art_cost: float, max_iter: int) -> str:
+    def _ratio_test(self, j: int, direction: float, w: np.ndarray) -> tuple[float, int]:
+        """Step length and leaving basis row, -1 when column j flips bounds.
+
+        The smallest ratio among the basics wins; ties go to the lowest basis
+        column (anti-cycling), and a tie with column j's own opposite bound
+        is a bound flip. An infinite step means the direction is a ray.
+        """
+        limit = self.upper[j] - self.x[j] if direction > 0 else self.x[j] - self.lower[j]
+        step = -direction * w
+        rows = np.flatnonzero(np.abs(step) > _PIVOT_TOL)
+        bj = self.basis[rows]
+        cap = np.where(step[rows] > 0, self.upper[bj] - self.x[bj], self.x[bj] - self.lower[bj])
+        ratio = np.maximum(cap, 0.0) / np.abs(step[rows])
+        if ratio.size == 0 or ratio.min() >= limit - _TIE_EPS:
+            return limit, -1
+        best = ratio.min()
+        tied = rows[ratio <= best + _TIE_EPS]
+        return best, int(tied[np.argmin(self.basis[tied])])
+
+    def _pivot(self, j: int, r: int, w: np.ndarray) -> None:
+        """Column j replaces basis row r; the leaving column snaps to a bound."""
+        leaving = self.basis[r]
+        lo, hi, xl = self.lower[leaving], self.upper[leaving], self.x[leaving]
+        if not math.isinf(lo) and (math.isinf(hi) or abs(xl - lo) <= abs(xl - hi)):
+            self.x[leaving] = lo
+        elif not math.isinf(hi):
+            self.x[leaving] = hi
+        self.in_basis[leaving] = False
+        self.basis[r] = j
+        self.in_basis[j] = True
+
+        self.b_inv[r] /= w[r]
+        row = self.b_inv[r].copy()
+        self.b_inv -= np.outer(w, row)
+        self.b_inv[r] = row
+
+    def run(self, cost: np.ndarray) -> str:
         degenerate_streak = 0
         since_refactor = 0
-        retried = False
         while True:
-            if self.iterations >= max_iter:
-                raise NumericalBreakdown(f"iteration limit {max_iter} exceeded")
-            y = self._duals(cost, art_cost)
-            d = self._reduced(cost, y)
+            if self.iterations >= self.max_iter:
+                raise NumericalBreakdown(f"iteration limit {self.max_iter} exceeded")
+            y = self._duals(cost)
+            d = cost - self.AT @ y
             pick = self._entering(d, bland=degenerate_streak >= _BLAND_TRIGGER)
             if pick is None:
                 return "optimal"
             j, direction = pick
             w = self._ftran(j)
-
-            # ratio test: first blocker among basics, or the entering
-            # variable's own opposite bound (a bound flip)
-            lo_j, hi_j = self._lo(j), self._hi(j)
-            limit = INF
-            if direction > 0 and not math.isinf(hi_j):
-                limit = hi_j - self._get(j)
-            elif direction < 0 and not math.isinf(lo_j):
-                limit = self._get(j) - lo_j
-            leave_idx = -1
-            for i in range(self.m):
-                step = -direction * w[i]
-                if -_PIVOT_TOL <= step <= _PIVOT_TOL:
-                    continue
-                bj = self.basis[i]
-                xv = self._get(bj)
-                cap = (self._hi(bj) - xv) if step > 0 else (xv - self._lo(bj))
-                if math.isinf(cap):
-                    continue
-                ratio = max(cap, 0.0) / abs(step)
-                if ratio < limit - 1e-10:
-                    limit = ratio
-                    leave_idx = i
-                elif ratio <= limit + 1e-10 and leave_idx >= 0 and bj < self.basis[leave_idx]:
-                    leave_idx = i  # lowest-index tie break (anti-cycling)
-
-            if math.isinf(limit):
+            step_len, leave = self._ratio_test(j, direction, w)
+            if math.isinf(step_len):
                 self._ray = (j, direction, w)
                 return "unbounded"
 
-            step_len = limit
-            degenerate_streak = degenerate_streak + 1 if step_len <= self.tol else 0
-
-            self._set(j, self._get(j) + direction * step_len)
-            if step_len > 0.0:
-                for i in np.flatnonzero(np.abs(w) > _PIVOT_TOL):
-                    bj = self.basis[i]
-                    self._set(bj, self._get(bj) - direction * w[i] * step_len)
+            degenerate_streak = degenerate_streak + 1 if step_len <= _TOL else 0
+            self.x[j] += direction * step_len
+            moved = np.abs(w) > _PIVOT_TOL
+            self.x[self.basis[moved]] -= direction * step_len * w[moved]
             self.iterations += 1
-
-            if leave_idx < 0:
+            if leave < 0:
                 continue  # bound flip, basis unchanged
 
-            pivot = w[leave_idx]
-            if abs(pivot) < _PIVOT_TOL:
-                if retried:
-                    raise NumericalBreakdown(f"pivot {pivot:.2e} below threshold")
-                retried = True
-                self._refactor()
-                continue
-            retried = False
-
-            leaving = self.basis[leave_idx]
-            lo_l, hi_l = self._lo(leaving), self._hi(leaving)
-            xl = self._get(leaving)
-            if not math.isinf(lo_l) and (math.isinf(hi_l) or abs(xl - lo_l) <= abs(xl - hi_l)):
-                self._set(leaving, lo_l)
-            elif not math.isinf(hi_l):
-                self._set(leaving, hi_l)
-            if leaving < self.total:
-                self.in_basis[leaving] = False
-            self.basis[leave_idx] = j
-            if j < self.total:
-                self.in_basis[j] = True
-
-            self.b_inv[leave_idx, :] /= pivot
-            mask = np.ones(self.m, dtype=bool)
-            mask[leave_idx] = False
-            self.b_inv[mask, :] -= np.outer(w[mask], self.b_inv[leave_idx, :])
-
+            self._pivot(j, leave, w)
             since_refactor += 1
             if since_refactor >= _REFACTOR_EVERY:
                 self._refactor()
                 since_refactor = 0
 
-    def infeasibility(self) -> float:
-        return float(np.sum(np.abs(self.x_art))) if self.n_art else 0.0
-
-    def phase1(self, max_iter: int) -> str:
-        if self.n_art == 0:
-            return "feasible"
-        status = self.run(np.zeros(self.total), art_cost=1.0, max_iter=max_iter)
-        if status != "optimal":  # phase-one objective is bounded below by 0
+    def phase1(self) -> bool:
+        """Drive the artificials to zero; False when the LP is infeasible."""
+        if len(self.x) == self.total:  # no artificials: the start is feasible
+            return True
+        art = slice(self.total, None)
+        if self.run(self.art_cost) != "optimal":  # bounded below by 0
             raise NumericalBreakdown("phase one reported unbounded")
         scale = 1.0 + float(np.abs(self.b).max(initial=0.0))
-        if self.infeasibility() > self.tol * scale * 10:
-            return "infeasible"
-        self.art_hi[:] = 0.0  # pin artificials so phase two cannot revive them
-        self.x_art[:] = np.clip(self.x_art, 0.0, None)
-        return "feasible"
-
-    def farkas(self) -> np.ndarray:
-        return self._duals(np.zeros(self.total), art_cost=1.0)
+        if np.abs(self.x[art]).sum() > _TOL * scale * 10:
+            return False
+        self.upper[art] = 0.0  # pin artificials so phase two cannot revive them
+        self.x[art] = np.clip(self.x[art], 0.0, None)
+        return True
 
 
-def solve_lp(lp: LinearProgram, tol: float = 1e-7,
-             bound_override: dict[int, tuple[float, float]] | None = None,
-             max_iter: int | None = None) -> LpSolution:
+def solve_lp(lp: LinearProgram) -> LpSolution:
     """Solve to proven optimality, infeasibility or unboundedness.
 
     Optimal solutions are certified: the primal point satisfies every
-    constraint within tol*(1+|rhs|) and the duals/reduced costs satisfy
+    constraint within 10*_TOL*(1+|rhs|) and the duals/reduced costs satisfy
     complementary slackness. Infeasible problems carry a Farkas row ray,
     unbounded ones a primal ray. Deterministic: identical inputs produce the
     identical pivot sequence.
     """
-    spx = _Simplex(lp, tol, bound_override)
-    if max_iter is None:
-        max_iter = 2000 + 50 * (spx.m + spx.total)
+    spx = _Simplex(lp)
+    n = spx.n_struct
+    if not spx.phase1():
+        return LpSolution(LpStatus.INFEASIBLE, ray=spx._duals(spx.art_cost),
+                          iterations=spx.iterations)
 
-    if spx.phase1(max_iter) == "infeasible":
-        return LpSolution(LpStatus.INFEASIBLE, ray=spx.farkas(), iterations=spx.iterations)
-
-    status = spx.run(spx.c, art_cost=0.0, max_iter=max_iter)
-
-    if status == "unbounded":
+    if spx.run(spx.c) == "unbounded":
         j, direction, w = spx._ray
-        ray = np.zeros(spx.total)
+        ray = np.zeros(len(spx.x))
         ray[j] = direction
-        for i in range(spx.m):
-            bj = spx.basis[i]
-            if bj < spx.total and abs(w[i]) > _PIVOT_TOL:
-                ray[bj] = -direction * w[i]
-        return LpSolution(LpStatus.UNBOUNDED, values=spx.x[:spx.n_struct].copy(),
-                          ray=ray[:spx.n_struct], iterations=spx.iterations)
+        moved = np.abs(w) > _PIVOT_TOL
+        ray[spx.basis[moved]] = -direction * w[moved]
+        return LpSolution(LpStatus.UNBOUNDED, values=spx.x[:n].copy(),
+                          ray=ray[:n], iterations=spx.iterations)
 
-    violation = lp.feasibility_violation(spx.x[:spx.n_struct], bound_override)
-    if violation > tol * 10:
+    violation = lp.feasibility_violation(spx.x[:n])
+    if violation > _TOL * 10:
         spx._refactor()
-        violation = lp.feasibility_violation(spx.x[:spx.n_struct], bound_override)
-        if violation > tol * 10:
+        violation = lp.feasibility_violation(spx.x[:n])
+        if violation > _TOL * 10:
             raise NumericalBreakdown(f"primal residual {violation:.2e} above tolerance")
 
-    y = spx._duals(spx.c, art_cost=0.0)
-    d = spx._reduced(spx.c, y)
-    x = spx.x[:spx.n_struct].copy()
+    y = spx._duals(spx.c)
+    d = spx.c - spx.AT @ y
+    x = spx.x[:n].copy()
     return LpSolution(
         LpStatus.OPTIMAL,
         values=x,
         objective=lp.objective_value(x),
-        dual_values=y.copy(),
-        reduced_costs=d[:spx.n_struct].copy(),
+        dual_values=y,
+        reduced_costs=d[:n].copy(),
         iterations=spx.iterations,
     )
 
 
-def solve_lp_lazy(lp: LinearProgram, lazy_rows: set[int], tol: float = 1e-7,
-                  bound_override: dict[int, tuple[float, float]] | None = None) -> LpSolution:
+def solve_lp_lazy(lp: LinearProgram, lazy_rows: set[int]) -> LpSolution:
     """Solve with the given rows activated only once violated.
 
     The result is optimal for the full LP: it solves a row relaxation and is
@@ -528,27 +369,26 @@ def solve_lp_lazy(lp: LinearProgram, lazy_rows: set[int], tol: float = 1e-7,
     of the power-flow LPs, which are mostly slack at the optimum.
     """
     if not lazy_rows:
-        return solve_lp(lp, tol, bound_override)
+        return solve_lp(lp)
     active = [i for i in range(lp.n_rows) if i not in lazy_rows]
     pending = sorted(lazy_rows)
     for _round in range(60):
         sub = LinearProgram()
         sub.lower = lp.lower
         sub.upper = lp.upper
-        sub.names = lp.names
         sub.obj = lp.obj
         sub.obj_constant = lp.obj_constant
         sub.rows = [lp.rows[i] for i in active]
         sub.senses = [lp.senses[i] for i in active]
         sub.rhs = [lp.rhs[i] for i in active]
-        sol = solve_lp(sub, tol, bound_override)
+        sol = solve_lp(sub)
         if sol.status != LpStatus.OPTIMAL:
             return _lift_lazy_duals(sol, lp, active)
         x = sol.values
         violated = [
             i for i in pending
-            if (lp.senses[i] in ("<=", "=") and lp.row_activity(i, x) - lp.rhs[i] > tol * (1 + abs(lp.rhs[i])))
-            or (lp.senses[i] in (">=", "=") and lp.rhs[i] - lp.row_activity(i, x) > tol * (1 + abs(lp.rhs[i])))
+            if (lp.senses[i] in ("<=", "=") and lp.row_activity(i, x) - lp.rhs[i] > _TOL * (1 + abs(lp.rhs[i])))
+            or (lp.senses[i] in (">=", "=") and lp.rhs[i] - lp.row_activity(i, x) > _TOL * (1 + abs(lp.rhs[i])))
         ]
         if not violated:
             return _lift_lazy_duals(sol, lp, active)
@@ -559,107 +399,14 @@ def solve_lp_lazy(lp: LinearProgram, lazy_rows: set[int], tol: float = 1e-7,
 
 
 def _lift_lazy_duals(sol: LpSolution, lp: LinearProgram, active: list[int]) -> LpSolution:
-    if sol.dual_values is not None:
+    """Index the duals and a Farkas ray by the rows of lp, zero off `active`."""
+    def lift(v: np.ndarray) -> np.ndarray:
         full = np.zeros(lp.n_rows)
-        full[np.array(active, dtype=int)] = sol.dual_values
-        sol.dual_values = full
+        full[np.array(active, dtype=int)] = v
+        return full
+
+    if sol.dual_values is not None:
+        sol.dual_values = lift(sol.dual_values)
+    if sol.status == LpStatus.INFEASIBLE:
+        sol.ray = lift(sol.ray)
     return sol
-
-
-def solve_mip(mip: MixedIntegerProgram, config: MipConfig = MipConfig(),
-              lazy_rows: set[int] | None = None) -> MipResult:
-    """Best-first branch-and-bound on LP relaxations.
-
-    Returns the proven optimum when the node limit is not hit, otherwise the
-    best incumbent plus the remaining bound. Raises NodeLimitReached only if
-    the limit is hit with no incumbent at hand.
-    """
-    lp = mip.base
-
-    def solve(bo):
-        if lazy_rows:
-            return solve_lp_lazy(lp, lazy_rows, config.tol, bo)
-        return solve_lp(lp, config.tol, bo)
-
-    best_obj = INF
-    best_sol: LpSolution | None = None
-    if config.incumbent is not None:
-        x = np.asarray(config.incumbent, dtype=float)
-        if lp.feasibility_violation(x) <= config.tol * 10 and \
-                all(abs(x[j] - round(x[j])) < config.int_tol for j in mip.binaries):
-            best_obj = lp.objective_value(x)
-            best_sol = LpSolution(LpStatus.OPTIMAL, values=x, objective=best_obj)
-
-    root = solve(None)
-    nodes = 1
-    if root.status == LpStatus.UNBOUNDED:
-        return MipResult(root, False, -INF, nodes)
-    if root.status == LpStatus.INFEASIBLE:
-        if best_sol is not None:
-            return MipResult(best_sol, True, best_obj, nodes)
-        return MipResult(root, True, INF, nodes)
-
-    def cutoff() -> float:
-        return INF if math.isinf(best_obj) else best_obj - config.tol * (1 + abs(best_obj))
-
-    seq = 0
-    heap: list = [(root.objective, seq, {}, root)]
-    exhausted = True
-    while heap:
-        bound, _s, fixing, sol = heapq.heappop(heap)
-        if bound >= cutoff():
-            continue
-        frac_j, frac = -1, config.int_tol
-        for j in mip.binaries:
-            f = abs(sol.values[j] - round(sol.values[j]))
-            if f > frac:
-                frac, frac_j = f, j
-        if frac_j < 0:
-            if sol.objective < best_obj:
-                best_obj, best_sol = sol.objective, sol
-                if config.stop_at_first_incumbent:
-                    exhausted = False
-                    break
-            continue
-        if nodes + 2 > config.node_limit:
-            exhausted = False
-            break
-        for fix in (0.0, 1.0):
-            child = dict(fixing)
-            child[frac_j] = (fix, fix)
-            nodes += 1
-            csol = solve(child)
-            if csol.status == LpStatus.INFEASIBLE:
-                continue
-            if csol.status == LpStatus.UNBOUNDED:
-                return MipResult(csol, False, -INF, nodes)
-            if csol.objective < cutoff():
-                seq += 1
-                heapq.heappush(heap, (csol.objective, seq, child, csol))
-
-    if best_sol is None:
-        if exhausted:  # tree searched out: no integer point exists
-            return MipResult(LpSolution(LpStatus.INFEASIBLE), True, INF, nodes)
-        raise NodeLimitReached(f"no incumbent within {config.node_limit} nodes")
-    remaining = min((entry[0] for entry in heap), default=best_obj)
-    return MipResult(best_sol, exhausted and not heap, min(remaining, best_obj), nodes)
-
-
-def write_lp(lp: LinearProgram) -> str:
-    """Textual export in the CPLEX LP format (debug aid for cross-checking)."""
-
-    def term(j, a):
-        return f"{'+' if a >= 0 else '-'} {abs(a):.12g} {lp.names[j]}"
-
-    out = ["Minimize", " obj: " + " ".join(term(j, a) for j, a in sorted(lp.obj.items()))]
-    out.append("Subject To")
-    for i, row in enumerate(lp.rows):
-        body = " ".join(term(j, a) for j, a in sorted(row.items()))
-        out.append(f" c{i}: {body} {lp.senses[i]} {lp.rhs[i]:.12g}")
-    out.append("Bounds")
-    for j in range(lp.n_vars):
-        lo = "-inf" if math.isinf(lp.lower[j]) else f"{lp.lower[j]:.12g}"
-        hi = "+inf" if math.isinf(lp.upper[j]) else f"{lp.upper[j]:.12g}"
-        out.append(f" {lo} <= {lp.names[j]} <= {hi}")
-    out.append("End")
-    return "\n".join(out) + "\n"

@@ -217,8 +217,7 @@ class ModelSolution:
     kind: ModelKind
 
 
-def solve_model(grid: PowerGrid, kind: ModelKind, lam: float,
-                tol: float = 1e-7) -> ModelSolution:
+def solve_model(grid: PowerGrid, kind: ModelKind, lam: float) -> ModelSolution:
     """Solve the dispatch LP and lift the solution back onto the grid.
 
     Raises InfeasibleModel when no feasible flow exists (the interesting
@@ -226,7 +225,7 @@ def solve_model(grid: PowerGrid, kind: ModelKind, lam: float,
     checked against the DC coupling on every native branch.
     """
     lp, vmap = build_lp(grid, kind, lam)
-    sol = lp_engine.solve_lp_lazy(lp, vmap.lazy_rows, tol)
+    sol = lp_engine.solve_lp_lazy(lp, vmap.lazy_rows)
     if sol.status == LpStatus.INFEASIBLE:
         raise InfeasibleModel(f"{kind} model infeasible for {grid.name or 'grid'}")
     if sol.status != LpStatus.OPTIMAL:

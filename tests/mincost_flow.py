@@ -20,8 +20,8 @@ import heapq
 import math
 from dataclasses import dataclass, field
 
-from .grid_model import Flow, PowerGrid
-from .pwl import PiecewiseLinearConvex
+from gridctl.grid_model import Flow, PowerGrid
+from gridctl.pwl import PiecewiseLinearConvex
 
 
 class UnboundedCapacityOnCostlyEdge(ValueError):

@@ -179,6 +179,31 @@ def test_parallel_circuits_merge():
     assert br.loss(15.0) == pytest.approx(r_eq * 15 * 15 / 100, rel=1e-9)
 
 
+def test_out_of_service_generator_dropped():
+    # a second unit on bus 1 is out of service (GEN_STATUS, gen column 8 = 0)
+    text = MINI.replace(
+        "    1 0 0 10 -10 1 100 1 50 0;",
+        "    1 0 0 10 -10 1 100 1 50 0;\n    1 0 0 10 -10 1 100 0 80 0;",
+    ).replace("    2 0 0 3 0.02 2 0;", "    2 0 0 3 0.02 2 0;\n    2 0 0 2 1 0;")
+    raw = parse_case(text)
+    assert [(g.bus, g.p_max) for g in raw.generators] == [(1, 50.0)]
+    grid = build_grid(raw)
+    assert grid.generators[1].capacity == 50.0
+
+
+def test_out_of_service_branch_dropped():
+    # a parallel circuit that is out of service (BR_STATUS, branch column 11 = 0)
+    text = MINI.replace(
+        "    1 2 0.01 0.1 0 25 25 25 0 0 1;",
+        "    1 2 0.01 0.1 0 25 25 25 0 0 1;\n    1 2 0.02 0.2 0 15 15 15 0 0 0;",
+    )
+    raw = parse_case(text)
+    assert len(raw.branches) == 1
+    br = build_grid(raw).branches[0]
+    assert br.capacity == 25.0
+    assert br.susceptance == pytest.approx(100.0 / 0.1)
+
+
 def test_case57_and_case118_have_merged_parallels():
     raw57 = parse_case(case_io.read_case_text("case57"))
     raw118 = parse_case(case_io.read_case_text("case118"))

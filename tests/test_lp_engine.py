@@ -7,9 +7,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog as scipy_linprog
 
-from gridctl.lp_engine import (LinearProgram, LpStatus, MipConfig,
-                               MixedIntegerProgram, solve_lp, solve_lp_lazy,
-                               solve_mip, write_lp)
+from gridctl.lp_engine import LinearProgram, LpStatus, solve_lp, solve_lp_lazy
 
 
 # -- oracles -------------------------------------------------------------------
@@ -104,6 +102,26 @@ def random_lp(rng: np.random.Generator, n_vars: int, n_rows: int,
     return lp
 
 
+def farkas_gap(lp: LinearProgram, y: np.ndarray) -> float:
+    """How far y.b lies outside the interval of y.(A x + s), over the variable
+    box and each slack's sign range ('<=': s >= 0, '>=': s <= 0, '=': s = 0).
+    A positive gap proves A x + s = b infeasible. Entries below 1e-9 of the
+    largest are rounding noise and count as zero: a wrong-signed 1e-17 on an
+    inequality row would otherwise open its side of the interval to infinity."""
+    y = np.where(np.abs(y) > 1e-9 * np.abs(y).max(), y, 0.0)
+    w = np.zeros(lp.n_vars)
+    for i, row in enumerate(lp.rows):
+        for j, a in row.items():
+            w[j] += y[i] * a
+    slack_range = {"<=": (0.0, math.inf), ">=": (-math.inf, 0.0), "=": (0.0, 0.0)}
+    terms = [(w[j], lp.lower[j], lp.upper[j]) for j in range(lp.n_vars)]
+    terms += [(y[i], *slack_range[sense]) for i, sense in enumerate(lp.senses)]
+    lo = sum(min(k * l, k * u) for k, l, u in terms if k != 0.0)
+    hi = sum(max(k * l, k * u) for k, l, u in terms if k != 0.0)
+    yb = float(np.dot(y, lp.rhs))
+    return max(lo - yb, yb - hi)
+
+
 # -- small deterministic cases ---------------------------------------------------
 
 def test_min_x_subject_to_x_ge_3():
@@ -194,7 +212,7 @@ def test_determinism_identical_pivot_sequences():
 
 def test_random_battery_against_vertex_enumeration():
     rng = np.random.default_rng(12345)
-    solved = 0
+    solved = certified = 0
     for trial in range(500):
         n = int(rng.integers(2, 7))
         m = int(rng.integers(1, 9))
@@ -203,12 +221,15 @@ def test_random_battery_against_vertex_enumeration():
         sol = solve_lp(lp)
         if expected is None:
             assert sol.status == LpStatus.INFEASIBLE, f"trial {trial}"
+            assert farkas_gap(lp, sol.ray) > 1e-6, f"trial {trial}"
+            certified += 1
         else:
             assert sol.status == LpStatus.OPTIMAL, f"trial {trial}"
             assert sol.objective == pytest.approx(expected, abs=1e-7), f"trial {trial}"
             assert lp.feasibility_violation(sol.values) <= 1e-7
             solved += 1
     assert solved > 200  # battery covers plenty of feasible instances
+    assert certified > 100  # ... and of infeasible ones
 
 
 def test_random_battery_against_scipy():
@@ -249,6 +270,7 @@ def test_weak_duality_on_random_optima():
 
 def test_lazy_rows_match_full_solve():
     rng = np.random.default_rng(77)
+    infeasible = 0
     for _ in range(40):
         lp = random_lp(rng, int(rng.integers(2, 7)), int(rng.integers(2, 9)))
         full = solve_lp(lp)
@@ -257,129 +279,7 @@ def test_lazy_rows_match_full_solve():
         if full.status == LpStatus.OPTIMAL:
             assert lazy.objective == pytest.approx(full.objective, abs=1e-6)
             assert lp.feasibility_violation(lazy.values) <= 1e-6
-
-
-# -- MILP ------------------------------------------------------------------------
-
-def knapsack_mip(values, weights, cap):
-    lp = LinearProgram()
-    idx = [lp.add_variable(f"y{i}", 0.0, 1.0) for i in range(len(values))]
-    lp.add_constraint({i: w for i, w in zip(idx, weights)}, "<=", cap)
-    lp.set_objective({i: -v for i, v in zip(idx, values)})  # maximize value
-    return MixedIntegerProgram(lp, idx)
-
-
-def brute_force_binary(mip: MixedIntegerProgram):
-    lp = mip.base
-    best = None
-    for bits in itertools.product((0.0, 1.0), repeat=len(mip.binaries)):
-        x = np.zeros(lp.n_vars)
-        for j, b in zip(mip.binaries, bits):
-            x[j] = b
-        if lp.feasibility_violation(x) > 1e-9:
-            continue
-        val = lp.objective_value(x)
-        if best is None or val < best:
-            best = val
-    return best
-
-
-def test_knapsack_matches_enumeration():
-    mip = knapsack_mip([6, 5, 4], [3, 2, 2], 4)
-    res = solve_mip(mip)
-    assert res.proved_optimal
-    assert res.solution.objective == pytest.approx(brute_force_binary(mip)) == -9.0
-
-
-def test_integral_relaxation_solves_at_root():
-    # totally unimodular: path flow, relaxation already integral
-    lp = LinearProgram()
-    y1 = lp.add_variable("y1", 0.0, 1.0)
-    y2 = lp.add_variable("y2", 0.0, 1.0)
-    lp.add_constraint({y1: 1.0, y2: -1.0}, "=", 0.0)
-    lp.add_constraint({y1: 1.0}, ">=", 1.0)
-    lp.set_objective({y1: 1.0, y2: 1.0})
-    res = solve_mip(MixedIntegerProgram(lp, [y1, y2]))
-    assert res.proved_optimal and res.nodes == 1
-    assert res.solution.objective == pytest.approx(2.0)
-
-
-def test_cover_at_least_two():
-    lp = LinearProgram()
-    ys = [lp.add_variable(f"y{i}", 0.0, 1.0) for i in range(5)]
-    lp.add_constraint({y: 1.0 for y in ys}, ">=", 2.0)
-    lp.set_objective({y: 1.0 for y in ys})
-    res = solve_mip(MixedIntegerProgram(lp, ys))
-    assert res.solution.objective == pytest.approx(2.0)
-
-
-def test_random_binary_batteries_match_enumeration():
-    rng = np.random.default_rng(50)
-    for trial in range(120):
-        k = int(rng.integers(2, 9))
-        lp = LinearProgram()
-        ys = [lp.add_variable(f"y{i}", 0.0, 1.0) for i in range(k)]
-        for _ in range(int(rng.integers(1, 4))):
-            coeffs = {y: float(rng.integers(-4, 5)) for y in ys if rng.random() < 0.7}
-            if not coeffs:
-                continue
-            lp.add_constraint(coeffs, ["<=", ">="][int(rng.integers(0, 2))],
-                              float(rng.integers(-6, 7)))
-        lp.set_objective({y: float(rng.integers(-9, 10)) for y in ys})
-        mip = MixedIntegerProgram(lp, ys)
-        expected = brute_force_binary(mip)
-        if expected is None:
-            res = solve_mip(mip)
-            assert res.status == LpStatus.INFEASIBLE, f"trial {trial}"
-        else:
-            res = solve_mip(mip)
-            assert res.proved_optimal, f"trial {trial}"
-            assert res.solution.objective == pytest.approx(expected, abs=1e-7), f"trial {trial}"
-
-
-def test_twelve_binaries_exact():
-    rng = np.random.default_rng(8)
-    values = rng.integers(1, 30, size=12).astype(float)
-    weights = rng.integers(1, 12, size=12).astype(float)
-    mip = knapsack_mip(values, weights, float(weights.sum() // 3))
-    res = solve_mip(mip)
-    assert res.proved_optimal
-    assert res.solution.objective == pytest.approx(brute_force_binary(mip))
-
-
-def test_warm_incumbent_is_used():
-    mip = knapsack_mip([6, 5, 4], [3, 2, 2], 4)
-    x = np.array([0.0, 1.0, 1.0])
-    res = solve_mip(mip, MipConfig(incumbent=x))
-    assert res.proved_optimal
-    assert res.solution.objective == pytest.approx(-9.0)
-
-
-def test_node_limit_returns_incumbent_with_gap():
-    rng = np.random.default_rng(3)
-    values = rng.integers(10, 30, size=10).astype(float)
-    weights = rng.integers(5, 15, size=10).astype(float)
-    mip = knapsack_mip(values, weights, float(weights.sum() / 2))
-    x = np.zeros(10)
-    res = solve_mip(mip, MipConfig(node_limit=3, incumbent=x))
-    assert not res.proved_optimal
-    assert res.solution.objective <= 0.0
-    assert res.best_bound <= res.solution.objective + 1e-9
-
-
-def test_incumbent_monotone_over_nodes():
-    # resolve a knapsack and confirm the final incumbent is the best found
-    mip = knapsack_mip([9, 7, 5, 3], [4, 3, 2, 1], 6)
-    res = solve_mip(mip)
-    assert res.proved_optimal
-    assert res.solution.objective == pytest.approx(brute_force_binary(mip))
-
-
-def test_write_lp_round_trips_key_tokens():
-    lp = LinearProgram()
-    x = lp.add_variable("flow", -5.0, 5.0)
-    lp.add_constraint({x: 2.0}, "<=", 3.0)
-    lp.set_objective({x: 1.5})
-    text = write_lp(lp)
-    assert "Minimize" in text and "Subject To" in text and "Bounds" in text
-    assert "flow" in text and "2 flow" in text
+        elif full.status == LpStatus.INFEASIBLE:
+            assert farkas_gap(lp, lazy.ray) > 1e-6  # ray indexed by all rows
+            infeasible += 1
+    assert infeasible > 5

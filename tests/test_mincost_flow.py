@@ -6,10 +6,10 @@ import math
 import pytest
 
 from gridctl.grid_model import Branch, Flow, Generator, PowerGrid, check_feasible, flow_cost
-from gridctl.mincost_flow import (FlowNetwork, NetworkEdge, UnboundedCapacityOnCostlyEdge,
-                                  lift_flow, reduce_to_network,
-                                  residual_has_negative_cycle, solve_mincost,
-                                  split_segments)
+from mincost_flow import (FlowNetwork, NetworkEdge, UnboundedCapacityOnCostlyEdge,
+                          lift_flow, reduce_to_network,
+                          residual_has_negative_cycle, solve_mincost,
+                          split_segments)
 from gridctl.pwl import PiecewiseLinearConvex, constant_zero, from_samples
 
 from conftest import ALL_CASES, get_case, linear_cost, two_bus_grid
