@@ -14,7 +14,8 @@ Supported grammar (subset of the MATPOWER 4.x .m format):
 Columns beyond the ones named above are ignored. rateA = 0 encodes an
 unlimited line per the MATPOWER convention. Generators and branches whose
 status is 0 or less are out of service and dropped; a branch row without the
-status column counts as in service.
+status column counts as in service. PMIN (gen column 10) is not modelled;
+parsing warns about each generator in service whose PMIN is above 0.
 
 Grid construction samples polynomial generator costs into convex PWL curves on
 [0, Pmax], derives each branch loss curve as the PWL sampling of the ohmic
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import math
 import re
+import warnings
 from dataclasses import dataclass, field
 from importlib import resources
 from typing import Iterable
@@ -198,6 +200,11 @@ def parse_case(text: str) -> RawCase:
                                 cost_lineno)
         if row[7] > 0:
             case.generators.append(GenRecord(int(row[0]), p_max, model, tuple(coeffs)))
+    pmin = [f"bus {int(r[0])} ({r[9]:g} MW)" for _, r in matrices["gen"]
+            if r[7] > 0 and len(r) > 9 and r[9] > 0]
+    if pmin:
+        warnings.warn(f"{name or 'case'}: PMIN is not modelled and is ignored for the "
+                      f"generators at {', '.join(pmin)}", UserWarning, stacklevel=2)
 
     bus_ids = {b.bus_id for b in case.buses}
     for lineno, row in matrices["branch"]:

@@ -6,7 +6,8 @@ equalities via one slack column each, and an infeasible starting point is
 repaired by a phase-one minimization over artificial columns. Dantzig pricing
 with a Bland's-rule fallback after a degeneracy streak keeps the pivot
 sequence deterministic. The basis inverse is kept explicitly with rank-one
-updates and periodic refactorization.
+updates and periodic refactorization. Lazy rows join the live basis once
+violated, so each later round is warm-started from the last optimum.
 """
 
 from __future__ import annotations
@@ -125,68 +126,87 @@ class LpSolution:
 
 
 class _Simplex:
-    """Equality-form working problem A x + I s + D a = b with bounds.
-
-    Columns are structural | slack | artificial. Each row whose slack cannot
-    absorb the starting residual gets an artificial column, a signed unit
-    column in [0, inf) that starts basic; artificials never enter the basis.
+    """Equality-form working problem A x + I s + D a = b over the LP rows in
+    `rows`, to which `add_rows` appends. Columns are structural | slack |
+    artificial. Each row whose slack cannot absorb its residual at the current
+    point gets an artificial column, a signed unit column in [0, inf) that
+    starts basic; artificials never enter the basis.
     """
 
-    def __init__(self, lp: LinearProgram):
-        n, m = lp.n_vars, lp.n_rows
+    def __init__(self, lp: LinearProgram, rows: list[int]):
+        n = lp.n_vars
+        self.lp = lp
         self.n_struct = n
-        self.m = m
-        self.total = n + m  # index of the first artificial column
+        self.rows: list[int] = []
+        self.total = n  # index of the first artificial column
         self.iterations = 0
-        self.max_iter = 2000 + 50 * (m + self.total)
+        self.A = sparse.csc_matrix((0, n))
+        self.b = np.zeros(0)
+        self.lower = np.array(lp.lower, dtype=float)
+        self.upper = np.array(lp.upper, dtype=float)
+        self.c = np.zeros(n)
+        self.c[list(lp.obj)] = list(lp.obj.values())
 
-        rows = np.array([i for i, row in enumerate(lp.rows) for _ in row], dtype=np.int64)
-        cols = np.array([j for row in lp.rows for j in row], dtype=np.int64)
-        vals = np.array([a for row in lp.rows for a in row.values()], dtype=float)
-        struct = sparse.csc_matrix((vals, (rows, cols)), shape=(m, n))
-        self.b = np.array(lp.rhs, dtype=float)
-        slack_lo = np.array([-INF if s == ">=" else 0.0 for s in lp.senses])
-        slack_hi = np.array([INF if s == "<=" else 0.0 for s in lp.senses])
-        lower = np.concatenate([lp.lower, slack_lo])
-        upper = np.concatenate([lp.upper, slack_hi])
+        # start: every structural nonbasic at its finite bound nearest zero
+        lo, hi = self.lower, self.upper
+        use_lo = ~np.isinf(lo) & (np.isinf(hi) | (np.abs(lo) <= np.abs(hi)))
+        self.x = np.where(use_lo, lo, np.where(np.isinf(hi), 0.0, hi))
+        self.basis = np.zeros(0, dtype=np.int64)
+        self.add_rows(rows)
 
-        # start: every structural nonbasic at its finite bound nearest zero,
-        # every slack at the value nearest its row's residual
-        x = np.zeros(self.total)
-        finite_lo = ~np.isinf(lower)
-        finite_hi = ~np.isinf(upper)
-        use_lo = finite_lo & (~finite_hi | (np.abs(lower) <= np.abs(upper)))
-        use_hi = finite_hi & ~use_lo
-        x[use_lo] = lower[use_lo]
-        x[use_hi] = upper[use_hi]
-        resid = self.b - struct @ x[:n]
-        x[n:] = np.clip(resid, slack_lo, slack_hi)
+    def add_rows(self, rows: list[int]) -> None:
+        """Append LP rows and refactor the basis once.
+
+        A new row's slack takes the value nearest its residual at the current
+        point and is basic when it absorbs all of it; otherwise a new basic
+        artificial carries the rest. Phase one costs only the new artificials.
+        """
+        lp, n, m0, k = self.lp, self.n_struct, len(self.rows), len(rows)
+        r_idx = np.array([r for r, i in enumerate(rows) for _ in lp.rows[i]], dtype=np.int64)
+        c_idx = np.array([j for i in rows for j in lp.rows[i]], dtype=np.int64)
+        vals = np.array([a for i in rows for a in lp.rows[i].values()], dtype=float)
+        new = sparse.csc_matrix((vals, (r_idx, c_idx)), shape=(k, n))
+        b_new = np.array([lp.rhs[i] for i in rows], dtype=float)
+        slack_lo = np.array([-INF if lp.senses[i] == ">=" else 0.0 for i in rows])
+        slack_hi = np.array([INF if lp.senses[i] == "<=" else 0.0 for i in rows])
+        resid = b_new - new @ self.x[:n]
+        slack = np.clip(resid, slack_lo, slack_hi)
         fits = (slack_lo - 1e-12 <= resid) & (resid <= slack_hi + 1e-12)
         art_rows = np.flatnonzero(~fits)
         n_art = art_rows.size
-        signs = np.where(resid[art_rows] >= x[n + art_rows], 1.0, -1.0)
+        signs = np.where(resid[art_rows] >= slack[art_rows], 1.0, -1.0)
 
+        m, old_total = m0 + k, self.total
+        old_art = self.A[:, old_total:]
+        total = n + m
         self.A = sparse.hstack([
-            struct,
+            sparse.vstack([self.A[:, :n], new]),
             sparse.identity(m, format="csc"),
-            sparse.csc_matrix((signs, (art_rows, np.arange(n_art))), shape=(m, n_art)),
+            sparse.vstack([old_art, sparse.csc_matrix((k, old_art.shape[1]))]),
+            sparse.csc_matrix((signs, (m0 + art_rows, np.arange(n_art))), shape=(m, n_art)),
         ], format="csc")
         self.AT = self.A.T.tocsr()
-        self.lower = np.concatenate([lower, np.zeros(n_art)])
-        self.upper = np.concatenate([upper, np.full(n_art, INF)])
-        self.x = np.concatenate([x, np.zeros(n_art)])
-        self.c = np.zeros(self.total + n_art)
-        for j, a in lp.obj.items():
-            self.c[j] = a
-        self.art_cost = np.zeros(self.total + n_art)
-        self.art_cost[self.total:] = 1.0
 
-        # basis: the slack of each row, or its artificial when it has one
-        self.basis = np.arange(n, n + m)
-        self.basis[art_rows] = self.total + np.arange(n_art)
-        self.in_basis = np.zeros(self.total + n_art, dtype=bool)
-        self.in_basis[self.basis] = True
-        self.b_inv = np.eye(m)
+        def grow(v: np.ndarray, at_slack: np.ndarray, at_art: np.ndarray) -> np.ndarray:
+            return np.concatenate([v[:old_total], at_slack, v[old_total:], at_art])
+
+        self.x = grow(self.x, slack, np.zeros(n_art))
+        self.lower = grow(self.lower, slack_lo, np.zeros(n_art))
+        self.upper = grow(self.upper, slack_hi, np.full(n_art, INF))
+        self.c = grow(self.c, np.zeros(k), np.zeros(n_art))
+        self.new_art = len(self.x) - n_art  # first column phase one costs
+
+        # basis: old rows keep their columns (artificials shift past the new
+        # slacks); each new row adds its slack, or its artificial
+        added = n + m0 + np.arange(k)
+        added[art_rows] = self.new_art + np.arange(n_art)
+        self.basis = np.concatenate([np.where(self.basis >= old_total, self.basis + k, self.basis),
+                                     added])
+        self.in_basis = np.isin(np.arange(len(self.x)), self.basis)
+        self.b = np.concatenate([self.b, b_new])
+        self.rows.extend(rows)
+        self.total = total
+        self.max_iter = 2000 + 50 * (m + total)
         self._refactor()
 
     def _ftran(self, j: int) -> np.ndarray:
@@ -195,8 +215,6 @@ class _Simplex:
         return self.b_inv[:, self.A.indices[lo:hi]] @ self.A.data[lo:hi]
 
     def _refactor(self) -> None:
-        if self.m == 0:
-            return
         try:
             self.b_inv = np.linalg.inv(self.A[:, self.basis].toarray())
         except np.linalg.LinAlgError:
@@ -302,10 +320,11 @@ class _Simplex:
                 since_refactor = 0
 
     def phase1(self) -> bool:
-        """Drive the artificials to zero; False when the LP is infeasible."""
-        if len(self.x) == self.total:  # no artificials: the start is feasible
+        """Drive the new artificials to zero; False when the rows are infeasible."""
+        if self.new_art == len(self.x):  # no new artificials: the point is feasible
             return True
-        art = slice(self.total, None)
+        art = slice(self.new_art, None)
+        self.art_cost = (np.arange(len(self.x)) >= self.new_art).astype(float)
         if self.run(self.art_cost) != "optimal":  # bounded below by 0
             raise NumericalBreakdown("phase one reported unbounded")
         scale = 1.0 + float(np.abs(self.b).max(initial=0.0))
@@ -316,29 +335,55 @@ class _Simplex:
         return True
 
 
-def solve_lp(lp: LinearProgram) -> LpSolution:
+def solve_lp(lp: LinearProgram, lazy_rows: frozenset[int] | set[int] = frozenset()) -> LpSolution:
     """Solve to proven optimality, infeasibility or unboundedness.
 
-    Optimal solutions are certified: the primal point satisfies every
-    constraint within 10*_TOL*(1+|rhs|) and the duals/reduced costs satisfy
-    complementary slackness. Infeasible problems carry a Farkas row ray,
-    unbounded ones a primal ray. Deterministic: identical inputs produce the
-    identical pivot sequence.
+    Rows in `lazy_rows` (the mostly slack epigraph rows of the power-flow LPs)
+    are activated once violated: each round appends them to the live basis,
+    so it starts from the last optimum and phase one covers only the new rows.
+    Optimal solutions are certified: the primal point satisfies every row
+    within 10*_TOL*(1+|rhs|) and the duals/reduced costs satisfy complementary
+    slackness. Infeasible problems carry a Farkas row ray, with entries at or
+    below 1e-9 of its largest zeroed; unbounded ones a primal ray. Duals and
+    rays index the rows of `lp`, zero on rows never activated. `iterations`
+    counts every round. Identical inputs give the identical pivot sequence.
     """
-    spx = _Simplex(lp)
-    n = spx.n_struct
-    if not spx.phase1():
-        return LpSolution(LpStatus.INFEASIBLE, ray=spx._duals(spx.art_cost),
-                          iterations=spx.iterations)
+    spx = _Simplex(lp, [i for i in range(lp.n_rows) if i not in lazy_rows])
+    n = lp.n_vars
+    pending = sorted(lazy_rows)
 
-    if spx.run(spx.c) == "unbounded":
-        j, direction, w = spx._ray
-        ray = np.zeros(len(spx.x))
-        ray[j] = direction
-        moved = np.abs(w) > _PIVOT_TOL
-        ray[spx.basis[moved]] = -direction * w[moved]
-        return LpSolution(LpStatus.UNBOUNDED, values=spx.x[:n].copy(),
-                          ray=ray[:n], iterations=spx.iterations)
+    def lift(v: np.ndarray) -> np.ndarray:
+        full = np.zeros(lp.n_rows)
+        full[spx.rows] = v
+        return full
+
+    for _round in range(60):
+        if not spx.phase1():
+            ray = lift(spx._duals(spx.art_cost))
+            ray[np.abs(ray) <= 1e-9 * np.abs(ray).max()] = 0.0  # rounding noise
+            return LpSolution(LpStatus.INFEASIBLE, ray=ray, iterations=spx.iterations)
+
+        if spx.run(spx.c) == "unbounded":
+            j, direction, w = spx._ray
+            ray = np.zeros(len(spx.x))
+            ray[j] = direction
+            moved = np.abs(w) > _PIVOT_TOL
+            ray[spx.basis[moved]] = -direction * w[moved]
+            return LpSolution(LpStatus.UNBOUNDED, values=spx.x[:n].copy(),
+                              ray=ray[:n], iterations=spx.iterations)
+
+        x = spx.x[:n]
+        violated = [
+            i for i in pending
+            if (lp.senses[i] in ("<=", "=") and lp.row_activity(i, x) - lp.rhs[i] > _TOL * (1 + abs(lp.rhs[i])))
+            or (lp.senses[i] in (">=", "=") and lp.rhs[i] - lp.row_activity(i, x) > _TOL * (1 + abs(lp.rhs[i])))
+        ]
+        if not violated:
+            break
+        spx.add_rows(violated)
+        pending = sorted(set(pending).difference(violated))
+    else:
+        raise NumericalBreakdown("lazy row activation did not converge")
 
     violation = lp.feasibility_violation(spx.x[:n])
     if violation > _TOL * 10:
@@ -354,59 +399,7 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
         LpStatus.OPTIMAL,
         values=x,
         objective=lp.objective_value(x),
-        dual_values=y,
+        dual_values=lift(y),
         reduced_costs=d[:n].copy(),
         iterations=spx.iterations,
     )
-
-
-def solve_lp_lazy(lp: LinearProgram, lazy_rows: set[int]) -> LpSolution:
-    """Solve with the given rows activated only once violated.
-
-    The result is optimal for the full LP: it solves a row relaxation and is
-    verified feasible for every row, which certifies optimality. Duals of
-    never-activated rows are zero. Meant for the large epigraph-row families
-    of the power-flow LPs, which are mostly slack at the optimum.
-    """
-    if not lazy_rows:
-        return solve_lp(lp)
-    active = [i for i in range(lp.n_rows) if i not in lazy_rows]
-    pending = sorted(lazy_rows)
-    for _round in range(60):
-        sub = LinearProgram()
-        sub.lower = lp.lower
-        sub.upper = lp.upper
-        sub.obj = lp.obj
-        sub.obj_constant = lp.obj_constant
-        sub.rows = [lp.rows[i] for i in active]
-        sub.senses = [lp.senses[i] for i in active]
-        sub.rhs = [lp.rhs[i] for i in active]
-        sol = solve_lp(sub)
-        if sol.status != LpStatus.OPTIMAL:
-            return _lift_lazy_duals(sol, lp, active)
-        x = sol.values
-        violated = [
-            i for i in pending
-            if (lp.senses[i] in ("<=", "=") and lp.row_activity(i, x) - lp.rhs[i] > _TOL * (1 + abs(lp.rhs[i])))
-            or (lp.senses[i] in (">=", "=") and lp.rhs[i] - lp.row_activity(i, x) > _TOL * (1 + abs(lp.rhs[i])))
-        ]
-        if not violated:
-            return _lift_lazy_duals(sol, lp, active)
-        vset = set(violated)
-        active.extend(violated)
-        pending = [i for i in pending if i not in vset]
-    raise NumericalBreakdown("lazy row activation did not converge")
-
-
-def _lift_lazy_duals(sol: LpSolution, lp: LinearProgram, active: list[int]) -> LpSolution:
-    """Index the duals and a Farkas ray by the rows of lp, zero off `active`."""
-    def lift(v: np.ndarray) -> np.ndarray:
-        full = np.zeros(lp.n_rows)
-        full[np.array(active, dtype=int)] = v
-        return full
-
-    if sol.dual_values is not None:
-        sol.dual_values = lift(sol.dual_values)
-    if sol.status == LpStatus.INFEASIBLE:
-        sol.ray = lift(sol.ray)
-    return sol

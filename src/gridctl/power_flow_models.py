@@ -225,7 +225,7 @@ def solve_model(grid: PowerGrid, kind: ModelKind, lam: float) -> ModelSolution:
     checked against the DC coupling on every native branch.
     """
     lp, vmap = build_lp(grid, kind, lam)
-    sol = lp_engine.solve_lp_lazy(lp, vmap.lazy_rows)
+    sol = lp_engine.solve_lp(lp, vmap.lazy_rows)
     if sol.status == LpStatus.INFEASIBLE:
         raise InfeasibleModel(f"{kind} model infeasible for {grid.name or 'grid'}")
     if sol.status != LpStatus.OPTIMAL:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import pytest
 
@@ -202,6 +203,25 @@ def test_out_of_service_branch_dropped():
     br = build_grid(raw).branches[0]
     assert br.capacity == 25.0
     assert br.susceptance == pytest.approx(100.0 / 0.1)
+
+
+def test_positive_pmin_warns_naming_the_generators():
+    # PMIN (gen column 10) is flagged, not modelled
+    with pytest.warns(UserWarning, match=r"bus 1 \(50 MW\), bus 2 \(37.5 MW\), bus 3 \(45 MW\)"):
+        raw = parse_case(case_io.read_case_text("case6ww"))
+    assert [g.bus for g in raw.generators] == [1, 2, 3]
+
+
+def test_zero_pmin_parses_without_warning():
+    # PMIN 0 in service, and PMIN 20 on a unit out of service
+    text = MINI.replace(
+        "    1 0 0 10 -10 1 100 1 50 0;",
+        "    1 0 0 10 -10 1 100 1 50 0;\n    1 0 0 10 -10 1 100 0 80 20;",
+    ).replace("    2 0 0 3 0.02 2 0;", "    2 0 0 3 0.02 2 0;\n    2 0 0 2 1 0;")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        raw = parse_case(text)
+    assert [(g.bus, g.p_max) for g in raw.generators] == [(1, 50.0)]
 
 
 def test_case57_and_case118_have_merged_parallels():

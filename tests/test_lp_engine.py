@@ -7,7 +7,11 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog as scipy_linprog
 
-from gridctl.lp_engine import LinearProgram, LpStatus, solve_lp, solve_lp_lazy
+from gridctl import lp_engine
+from gridctl.lp_engine import LinearProgram, LpStatus, solve_lp
+from gridctl.power_flow_models import build_lp, electrical_model, flow_model
+
+from conftest import get_case
 
 
 # -- oracles -------------------------------------------------------------------
@@ -102,13 +106,14 @@ def random_lp(rng: np.random.Generator, n_vars: int, n_rows: int,
     return lp
 
 
-def farkas_gap(lp: LinearProgram, y: np.ndarray) -> float:
+def farkas_gap(lp: LinearProgram, y: np.ndarray, noise: float = 1e-9) -> float:
     """How far y.b lies outside the interval of y.(A x + s), over the variable
     box and each slack's sign range ('<=': s >= 0, '>=': s <= 0, '=': s = 0).
-    A positive gap proves A x + s = b infeasible. Entries below 1e-9 of the
-    largest are rounding noise and count as zero: a wrong-signed 1e-17 on an
-    inequality row would otherwise open its side of the interval to infinity."""
-    y = np.where(np.abs(y) > 1e-9 * np.abs(y).max(), y, 0.0)
+    A positive gap proves A x + s = b infeasible. Entries at or below `noise`
+    times the largest count as zero: a wrong-signed 1e-17 on an inequality
+    row would otherwise open its side of the interval to infinity. With
+    noise=0 the ray is taken as returned."""
+    y = np.where(np.abs(y) > noise * np.abs(y).max(), y, 0.0)
     w = np.zeros(lp.n_vars)
     for i, row in enumerate(lp.rows):
         for j, a in row.items():
@@ -120,6 +125,13 @@ def farkas_gap(lp: LinearProgram, y: np.ndarray) -> float:
     hi = sum(max(k * l, k * u) for k, l, u in terms if k != 0.0)
     yb = float(np.dot(y, lp.rhs))
     return max(lo - yb, yb - hi)
+
+
+def raw_ray_certifies(lp: LinearProgram, y: np.ndarray) -> bool:
+    """y as returned is a Farkas certificate and carries no entry in
+    (0, 1e-9 of the largest], the rounding noise the solver must zero."""
+    noise = (y != 0) & (np.abs(y) <= 1e-9 * np.abs(y).max())
+    return farkas_gap(lp, y, noise=0.0) > 1e-6 and not np.any(noise)
 
 
 # -- small deterministic cases ---------------------------------------------------
@@ -222,6 +234,7 @@ def test_random_battery_against_vertex_enumeration():
         if expected is None:
             assert sol.status == LpStatus.INFEASIBLE, f"trial {trial}"
             assert farkas_gap(lp, sol.ray) > 1e-6, f"trial {trial}"
+            assert raw_ray_certifies(lp, sol.ray), f"trial {trial}"
             certified += 1
         else:
             assert sol.status == LpStatus.OPTIMAL, f"trial {trial}"
@@ -274,12 +287,95 @@ def test_lazy_rows_match_full_solve():
     for _ in range(40):
         lp = random_lp(rng, int(rng.integers(2, 7)), int(rng.integers(2, 9)))
         full = solve_lp(lp)
-        lazy = solve_lp_lazy(lp, set(range(0, lp.n_rows, 2)))
+        lazy = solve_lp(lp, set(range(0, lp.n_rows, 2)))
         assert lazy.status == full.status
         if full.status == LpStatus.OPTIMAL:
             assert lazy.objective == pytest.approx(full.objective, abs=1e-6)
             assert lp.feasibility_violation(lazy.values) <= 1e-6
         elif full.status == LpStatus.INFEASIBLE:
             assert farkas_gap(lp, lazy.ray) > 1e-6  # ray indexed by all rows
+            assert raw_ray_certifies(lp, lazy.ray)
             infeasible += 1
     assert infeasible > 5
+
+
+def test_lazy_rows_join_a_basis_holding_a_pinned_artificial():
+    # x + y = 4 twice: one artificial stays basic at zero after phase one,
+    # and its column index must move past the slacks of the appended rows
+    lp = LinearProgram()
+    x = lp.add_variable("x", 0.0, 10.0)
+    y = lp.add_variable("y", 0.0, 10.0)
+    lp.add_constraint({x: 1.0, y: 1.0}, "=", 4.0)
+    lp.add_constraint({x: 2.0, y: 2.0}, "=", 8.0)
+    cap_x = lp.add_constraint({x: 1.0}, "<=", 1.0)  # violated at the first optimum x = 4
+    lp.set_objective({x: -1.0})
+    full, lazy = solve_lp(lp), solve_lp(lp, {cap_x})
+    assert lazy.status == full.status == LpStatus.OPTIMAL
+    assert lazy.objective == pytest.approx(-1.0) == full.objective
+    assert lazy.values == pytest.approx([1.0, 3.0])
+    assert float(np.dot(lazy.dual_values, lp.rhs)) == pytest.approx(-1.0)
+
+    cap_y = lp.add_constraint({y: 1.0}, "<=", 2.0)  # violated once x = 1: infeasible
+    lazy = solve_lp(lp, {cap_x, cap_y})
+    assert lazy.status == solve_lp(lp).status == LpStatus.INFEASIBLE
+    assert raw_ray_certifies(lp, lazy.ray)
+
+
+# -- the warm-started lazy rounds on the power-flow LPs ----------------------------
+
+@pytest.mark.parametrize("case, kind, lam, capacity", [("case30", "electrical", 0.5, 1.0),
+                                                       ("case118", "flow", 1.0, 1.0),
+                                                       ("case39", "electrical", 0.5, 0.7)])
+def test_warm_started_lazy_rounds_meet_kkt_on_power_flow_lps(case, kind, lam, capacity,
+                                                             monkeypatch):
+    # at 0.7 of their capacity, case39's lines bind, so reduced costs are nonzero
+    model = electrical_model() if kind == "electrical" else flow_model()
+    lp, vmap = build_lp(get_case(case).scale_capacities(capacity), model, lam)
+    activated: list[int] = []
+    add_rows = lp_engine._Simplex.add_rows
+
+    def record(spx, rows):
+        activated.extend(rows)
+        add_rows(spx, rows)
+
+    monkeypatch.setattr(lp_engine._Simplex, "add_rows", record)
+    sol = solve_lp(lp, vmap.lazy_rows)
+    monkeypatch.undo()
+    full = solve_lp(lp)
+    assert sol.status == full.status == LpStatus.OPTIMAL
+    assert sol.objective == pytest.approx(full.objective, rel=1e-7)
+
+    never = set(range(lp.n_rows)) - set(activated)
+    assert never and never < vmap.lazy_rows  # some lazy rows stayed out ...
+    assert set(activated) & vmap.lazy_rows  # ... and some were appended warm
+    y, d, x = sol.dual_values, sol.reduced_costs, sol.values
+    assert len(y) == lp.n_rows
+    assert all(y[i] == 0.0 for i in never)
+
+    tol = 1e-6
+    for i, sense in enumerate(lp.senses):  # A x + s = b, '<=': s >= 0, '>=': s <= 0
+        if sense == "<=":
+            assert y[i] <= tol, f"row {i}"
+        elif sense == ">=":
+            assert y[i] >= -tol, f"row {i}"
+    for j in range(lp.n_vars):
+        lo, hi = lp.lower[j], lp.upper[j]
+        at_lo = x[j] <= lo + 1e-9 * (1 + abs(lo))
+        at_hi = x[j] >= hi - 1e-9 * (1 + abs(hi))
+        if at_lo and at_hi:
+            continue  # fixed column: either sign
+        if at_lo:
+            assert d[j] >= -tol, f"column {j} at its lower bound"
+        elif at_hi:
+            assert d[j] <= tol, f"column {j} at its upper bound"
+        else:
+            assert abs(d[j]) <= tol, f"column {j} between its bounds"
+
+    dual = float(np.dot(y, lp.rhs)) + lp.obj_constant
+    for j in range(lp.n_vars):
+        if d[j] > 1e-9:
+            dual += d[j] * lp.lower[j]
+        elif d[j] < -1e-9:
+            dual += d[j] * lp.upper[j]
+    assert dual == pytest.approx(sol.objective, abs=1e-6 * (1 + abs(sol.objective)))
+    assert capacity == 1.0 or np.abs(d).max() > 1e-3
