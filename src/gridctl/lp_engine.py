@@ -1,13 +1,14 @@
 """In-house LP solving.
 
 The solver is a bounded-variable revised simplex: variables carry two-sided
-bounds (signed branch flows live in [-c, c], angles are free), rows become
-equalities via one slack column each, and an infeasible starting point is
-repaired by a phase-one minimization over artificial columns. Dantzig pricing
-with a Bland's-rule fallback after a degeneracy streak keeps the pivot
-sequence deterministic. The basis inverse is kept explicitly with rank-one
-updates and periodic refactorization. Lazy rows join the live basis once
-violated, so each later round is warm-started from the last optimum.
+bounds (signed branch flows live in [-c, c], cost segments in [0, w], angles
+are free), rows become equalities via one slack column each, and an
+infeasible starting point is repaired by a phase-one minimization over
+artificial columns. A nonbasic variable that reaches its opposite bound
+flips there without a pivot. Dantzig pricing with a Bland's-rule fallback
+after a degeneracy streak keeps the pivot sequence deterministic. The basis
+inverse is kept explicitly with rank-one updates and periodic
+refactorization.
 """
 
 from __future__ import annotations
@@ -126,87 +127,55 @@ class LpSolution:
 
 
 class _Simplex:
-    """Equality-form working problem A x + I s + D a = b over the LP rows in
-    `rows`, to which `add_rows` appends. Columns are structural | slack |
-    artificial. Each row whose slack cannot absorb its residual at the current
-    point gets an artificial column, a signed unit column in [0, inf) that
-    starts basic; artificials never enter the basis.
+    """Equality-form working problem A x + I s + D a = b over the rows of
+    `lp`. Columns are structural | slack | artificial. Each row whose slack
+    cannot absorb its residual at the starting point gets an artificial
+    column, a signed unit column in [0, inf) that starts basic; artificials
+    never enter the basis.
     """
 
-    def __init__(self, lp: LinearProgram, rows: list[int]):
-        n = lp.n_vars
-        self.lp = lp
-        self.n_struct = n
-        self.rows: list[int] = []
-        self.total = n  # index of the first artificial column
+    def __init__(self, lp: LinearProgram):
+        n, m = lp.n_vars, lp.n_rows
+        self.total = n + m  # index of the first artificial column
         self.iterations = 0
-        self.A = sparse.csc_matrix((0, n))
-        self.b = np.zeros(0)
-        self.lower = np.array(lp.lower, dtype=float)
-        self.upper = np.array(lp.upper, dtype=float)
-        self.c = np.zeros(n)
-        self.c[list(lp.obj)] = list(lp.obj.values())
+        r_idx = np.array([i for i, row in enumerate(lp.rows) for _ in row], dtype=np.int64)
+        c_idx = np.array([j for row in lp.rows for j in row], dtype=np.int64)
+        vals = np.array([a for row in lp.rows for a in row.values()], dtype=float)
+        a_struct = sparse.csc_matrix((vals, (r_idx, c_idx)), shape=(m, n))
+        self.b = np.array(lp.rhs, dtype=float)
+        lower = np.array(lp.lower, dtype=float)
+        upper = np.array(lp.upper, dtype=float)
 
-        # start: every structural nonbasic at its finite bound nearest zero
-        lo, hi = self.lower, self.upper
-        use_lo = ~np.isinf(lo) & (np.isinf(hi) | (np.abs(lo) <= np.abs(hi)))
-        self.x = np.where(use_lo, lo, np.where(np.isinf(hi), 0.0, hi))
-        self.basis = np.zeros(0, dtype=np.int64)
-        self.add_rows(rows)
-
-    def add_rows(self, rows: list[int]) -> None:
-        """Append LP rows and refactor the basis once.
-
-        A new row's slack takes the value nearest its residual at the current
-        point and is basic when it absorbs all of it; otherwise a new basic
-        artificial carries the rest. Phase one costs only the new artificials.
-        """
-        lp, n, m0, k = self.lp, self.n_struct, len(self.rows), len(rows)
-        r_idx = np.array([r for r, i in enumerate(rows) for _ in lp.rows[i]], dtype=np.int64)
-        c_idx = np.array([j for i in rows for j in lp.rows[i]], dtype=np.int64)
-        vals = np.array([a for i in rows for a in lp.rows[i].values()], dtype=float)
-        new = sparse.csc_matrix((vals, (r_idx, c_idx)), shape=(k, n))
-        b_new = np.array([lp.rhs[i] for i in rows], dtype=float)
-        slack_lo = np.array([-INF if lp.senses[i] == ">=" else 0.0 for i in rows])
-        slack_hi = np.array([INF if lp.senses[i] == "<=" else 0.0 for i in rows])
-        resid = b_new - new @ self.x[:n]
+        # start: every structural nonbasic at its finite bound nearest zero;
+        # each slack takes the value nearest its row's residual and is basic
+        # when it absorbs all of it, otherwise a basic artificial takes the rest
+        use_lo = ~np.isinf(lower) & (np.isinf(upper) | (np.abs(lower) <= np.abs(upper)))
+        x = np.where(use_lo, lower, np.where(np.isinf(upper), 0.0, upper))
+        slack_lo = np.array([-INF if s == ">=" else 0.0 for s in lp.senses])
+        slack_hi = np.array([INF if s == "<=" else 0.0 for s in lp.senses])
+        resid = self.b - a_struct @ x
         slack = np.clip(resid, slack_lo, slack_hi)
         fits = (slack_lo - 1e-12 <= resid) & (resid <= slack_hi + 1e-12)
         art_rows = np.flatnonzero(~fits)
         n_art = art_rows.size
         signs = np.where(resid[art_rows] >= slack[art_rows], 1.0, -1.0)
 
-        m, old_total = m0 + k, self.total
-        old_art = self.A[:, old_total:]
-        total = n + m
         self.A = sparse.hstack([
-            sparse.vstack([self.A[:, :n], new]),
+            a_struct,
             sparse.identity(m, format="csc"),
-            sparse.vstack([old_art, sparse.csc_matrix((k, old_art.shape[1]))]),
-            sparse.csc_matrix((signs, (m0 + art_rows, np.arange(n_art))), shape=(m, n_art)),
+            sparse.csc_matrix((signs, (art_rows, np.arange(n_art))), shape=(m, n_art)),
         ], format="csc")
         self.AT = self.A.T.tocsr()
+        self.x = np.concatenate([x, slack, np.zeros(n_art)])
+        self.lower = np.concatenate([lower, slack_lo, np.zeros(n_art)])
+        self.upper = np.concatenate([upper, slack_hi, np.full(n_art, INF)])
+        self.c = np.zeros(len(self.x))
+        self.c[list(lp.obj)] = list(lp.obj.values())
 
-        def grow(v: np.ndarray, at_slack: np.ndarray, at_art: np.ndarray) -> np.ndarray:
-            return np.concatenate([v[:old_total], at_slack, v[old_total:], at_art])
-
-        self.x = grow(self.x, slack, np.zeros(n_art))
-        self.lower = grow(self.lower, slack_lo, np.zeros(n_art))
-        self.upper = grow(self.upper, slack_hi, np.full(n_art, INF))
-        self.c = grow(self.c, np.zeros(k), np.zeros(n_art))
-        self.new_art = len(self.x) - n_art  # first column phase one costs
-
-        # basis: old rows keep their columns (artificials shift past the new
-        # slacks); each new row adds its slack, or its artificial
-        added = n + m0 + np.arange(k)
-        added[art_rows] = self.new_art + np.arange(n_art)
-        self.basis = np.concatenate([np.where(self.basis >= old_total, self.basis + k, self.basis),
-                                     added])
+        self.basis = n + np.arange(m)
+        self.basis[art_rows] = self.total + np.arange(n_art)
         self.in_basis = np.isin(np.arange(len(self.x)), self.basis)
-        self.b = np.concatenate([self.b, b_new])
-        self.rows.extend(rows)
-        self.total = total
-        self.max_iter = 2000 + 50 * (m + total)
+        self.max_iter = 2000 + 50 * (m + self.total)
         self._refactor()
 
     def _ftran(self, j: int) -> np.ndarray:
@@ -320,11 +289,11 @@ class _Simplex:
                 since_refactor = 0
 
     def phase1(self) -> bool:
-        """Drive the new artificials to zero; False when the rows are infeasible."""
-        if self.new_art == len(self.x):  # no new artificials: the point is feasible
+        """Drive the artificials to zero; False when the rows are infeasible."""
+        if self.total == len(self.x):  # no artificials: the start is feasible
             return True
-        art = slice(self.new_art, None)
-        self.art_cost = (np.arange(len(self.x)) >= self.new_art).astype(float)
+        art = slice(self.total, None)
+        self.art_cost = (np.arange(len(self.x)) >= self.total).astype(float)
         if self.run(self.art_cost) != "optimal":  # bounded below by 0
             raise NumericalBreakdown("phase one reported unbounded")
         scale = 1.0 + float(np.abs(self.b).max(initial=0.0))
@@ -335,55 +304,31 @@ class _Simplex:
         return True
 
 
-def solve_lp(lp: LinearProgram, lazy_rows: frozenset[int] | set[int] = frozenset()) -> LpSolution:
+def solve_lp(lp: LinearProgram) -> LpSolution:
     """Solve to proven optimality, infeasibility or unboundedness.
 
-    Rows in `lazy_rows` (the mostly slack epigraph rows of the power-flow LPs)
-    are activated once violated: each round appends them to the live basis,
-    so it starts from the last optimum and phase one covers only the new rows.
     Optimal solutions are certified: the primal point satisfies every row
     within 10*_TOL*(1+|rhs|) and the duals/reduced costs satisfy complementary
     slackness. Infeasible problems carry a Farkas row ray, with entries at or
     below 1e-9 of its largest zeroed; unbounded ones a primal ray. Duals and
-    rays index the rows of `lp`, zero on rows never activated. `iterations`
-    counts every round. Identical inputs give the identical pivot sequence.
+    rays index the rows of `lp`. Identical inputs give the identical pivot
+    sequence.
     """
-    spx = _Simplex(lp, [i for i in range(lp.n_rows) if i not in lazy_rows])
+    spx = _Simplex(lp)
     n = lp.n_vars
-    pending = sorted(lazy_rows)
+    if not spx.phase1():
+        ray = spx._duals(spx.art_cost)
+        ray[np.abs(ray) <= 1e-9 * np.abs(ray).max()] = 0.0  # rounding noise
+        return LpSolution(LpStatus.INFEASIBLE, ray=ray, iterations=spx.iterations)
 
-    def lift(v: np.ndarray) -> np.ndarray:
-        full = np.zeros(lp.n_rows)
-        full[spx.rows] = v
-        return full
-
-    for _round in range(60):
-        if not spx.phase1():
-            ray = lift(spx._duals(spx.art_cost))
-            ray[np.abs(ray) <= 1e-9 * np.abs(ray).max()] = 0.0  # rounding noise
-            return LpSolution(LpStatus.INFEASIBLE, ray=ray, iterations=spx.iterations)
-
-        if spx.run(spx.c) == "unbounded":
-            j, direction, w = spx._ray
-            ray = np.zeros(len(spx.x))
-            ray[j] = direction
-            moved = np.abs(w) > _PIVOT_TOL
-            ray[spx.basis[moved]] = -direction * w[moved]
-            return LpSolution(LpStatus.UNBOUNDED, values=spx.x[:n].copy(),
-                              ray=ray[:n], iterations=spx.iterations)
-
-        x = spx.x[:n]
-        violated = [
-            i for i in pending
-            if (lp.senses[i] in ("<=", "=") and lp.row_activity(i, x) - lp.rhs[i] > _TOL * (1 + abs(lp.rhs[i])))
-            or (lp.senses[i] in (">=", "=") and lp.rhs[i] - lp.row_activity(i, x) > _TOL * (1 + abs(lp.rhs[i])))
-        ]
-        if not violated:
-            break
-        spx.add_rows(violated)
-        pending = sorted(set(pending).difference(violated))
-    else:
-        raise NumericalBreakdown("lazy row activation did not converge")
+    if spx.run(spx.c) == "unbounded":
+        j, direction, w = spx._ray
+        ray = np.zeros(len(spx.x))
+        ray[j] = direction
+        moved = np.abs(w) > _PIVOT_TOL
+        ray[spx.basis[moved]] = -direction * w[moved]
+        return LpSolution(LpStatus.UNBOUNDED, values=spx.x[:n].copy(),
+                          ray=ray[:n], iterations=spx.iterations)
 
     violation = lp.feasibility_violation(spx.x[:n])
     if violation > _TOL * 10:
@@ -399,7 +344,7 @@ def solve_lp(lp: LinearProgram, lazy_rows: frozenset[int] | set[int] = frozenset
         LpStatus.OPTIMAL,
         values=x,
         objective=lp.objective_value(x),
-        dual_values=lift(y),
+        dual_values=y,
         reduced_costs=d[:n].copy(),
         iterations=spx.iterations,
     )

@@ -1,11 +1,17 @@
 """The flow, electrical, and hybrid dispatch models as bounded LPs.
 
 All three models share one LP skeleton: a signed flow variable per branch
-(bounds plus/minus capacity), balance rows per bus, and epigraph variables for
-the convex PWL generation and loss costs (losses are evaluated at |f| by
-imposing every loss piece on both +f and -f, which is valid because the
-pieces have nondecreasing slopes). The electrical and hybrid models add one
-voltage-angle variable per bus and the DC coupling row
+(bounds plus/minus capacity) and a balance row per bus. The convex PWL
+generation and loss costs are written in separable form: one bounded column
+per linear segment of a cost, priced at the segment's slope, with the
+function's value at zero as an objective constant. A generator's segments
+sum to its production inside its bus's balance row; a lossy branch's flow
+equals its forward segments minus its backward ones in one linking row, so
+the loss is charged at |f|. Because the slopes increase, an optimum fills
+the cheaper segments first, and the LP objective is the cost itself.
+
+The electrical and hybrid models add one voltage-angle variable per bus and
+the DC coupling row
 
     f(u,v) = B(u,v) * (theta_u - theta_v)
 
@@ -13,10 +19,6 @@ on exactly the branches whose two endpoints both lack a flow controller; one
 angle per connected component of the native (controller-free) subgraph is
 pinned to zero as the gauge. The flow model is the hybrid model with every
 bus controlled, the electrical model the hybrid model with none.
-
-Epigraph rows beyond each function's first piece are activated lazily during
-solving; the returned solution is verified against every row, so the
-optimum is certified for the full LP.
 """
 
 from __future__ import annotations
@@ -83,11 +85,8 @@ def hybrid_model(controls: Iterable[int]) -> ModelKind:
 class VariableMap:
     flow_var: dict[int, int] = field(default_factory=dict)  # branch index -> column
     theta_var: dict[int, int] = field(default_factory=dict)  # bus -> column
-    gen_epi_var: dict[int, int] = field(default_factory=dict)  # bus -> column
-    loss_epi_var: dict[int, int] = field(default_factory=dict)  # branch index -> column
     balance_rows: dict[int, list[int]] = field(default_factory=dict)  # bus -> rows
     coupling_row: dict[int, int] = field(default_factory=dict)  # branch index -> row
-    lazy_rows: set[int] = field(default_factory=set)  # epigraph rows past each first piece
 
 
 def _net_outflow_coeffs(grid: PowerGrid, bus: int, vmap: VariableMap) -> dict[int, float]:
@@ -116,21 +115,29 @@ def build_lp(grid: PowerGrid, kind: ModelKind, lam: float) -> tuple[LinearProgra
             vmap.theta_var[bus] = lp.add_variable(f"theta_{bus}", -math.inf, math.inf)
 
     objective: dict[int, float] = {}
+    constant = 0.0
 
-    # balance rows: pass-through and pure consumers get an equality, buses
-    # with a generator (demand netted) a two-sided window
+    # balance rows: a priced generator's production is the sum of its cost
+    # segments, net(g) - sum_k s_k = -d_g; every other connected bus gets an
+    # equality, or at lambda = 0 a generator bus the window [-d, x - d]
     for bus in grid.buses:
         coeffs = _net_outflow_coeffs(grid, bus, vmap)
+        gen = grid.generators.get(bus)
+        if gen is not None and lam > 0.0:
+            constant += lam * gen.cost.value_at_zero
+            for k, (width, slope) in enumerate(gen.cost.segments(cap=gen.capacity)):
+                s = lp.add_variable(f"gen_{bus}_{k}", 0.0, width)
+                objective[s] = lam * slope
+                coeffs[s] = -1.0
+            vmap.balance_rows[bus] = [lp.add_constraint(coeffs, "=", -grid.demand(bus))]
+            continue
         lo, hi = grid.net_outflow_bounds(bus)
         rows = []
         if not coeffs:
-            if lo > 0 or hi < 0:
-                coeffs = {}  # infeasible isolated bus: 0 outside [lo, hi]
+            if lo > 0 or hi < 0:  # infeasible isolated bus: 0 outside [lo, hi]
                 rows.append(lp.add_constraint({}, ">=", lo))
                 rows.append(lp.add_constraint({}, "<=", hi))
-            vmap.balance_rows[bus] = rows
-            continue
-        if lo == hi:
+        elif lo == hi:
             rows.append(lp.add_constraint(coeffs, "=", lo))
         else:
             rows.append(lp.add_constraint(coeffs, ">=", lo))
@@ -150,36 +157,24 @@ def build_lp(grid: PowerGrid, kind: ModelKind, lam: float) -> tuple[LinearProgra
             anchor = min(component)
             lp.add_constraint({vmap.theta_var[anchor]: 1.0}, "=", 0.0)
 
-    # generation cost epigraph: t_g >= a_i * (f_net(g) + d_g) + c_i
-    if lam > 0.0:
-        for bus, gen in sorted(grid.generators.items()):
-            t = lp.add_variable(f"cgen_{bus}", -math.inf, math.inf)
-            vmap.gen_epi_var[bus] = t
-            objective[t] = lam
-            net = _net_outflow_coeffs(grid, bus, vmap)
-            d = grid.demand(bus)
-            for p, (a, c) in enumerate(gen.cost.pieces):
-                coeffs = {t: 1.0}
-                for col, s in net.items():
-                    coeffs[col] = -a * s
-                row = lp.add_constraint(coeffs, ">=", a * d + c)
-                if p > 0:
-                    vmap.lazy_rows.add(row)
-
-    # loss cost epigraph at |f|: every piece on +f and on -f
+    # loss at |f| on a lossy branch: f = sum_k p_k - sum_k m_k over the loss
+    # segments in both directions; the slopes increase, so an optimum fills
+    # the cheaper segments first and never both directions at once
     if lam < 1.0:
         for i, br in enumerate(grid.branches):
-            t = lp.add_variable(f"closs_{i}", -math.inf, math.inf)
-            vmap.loss_epi_var[i] = t
-            objective[t] = 1.0 - lam
-            f = vmap.flow_var[i]
-            for p, (a, c) in enumerate(br.loss.pieces):
-                r1 = lp.add_constraint({t: 1.0, f: -a}, ">=", c)
-                r2 = lp.add_constraint({t: 1.0, f: +a}, ">=", c)
-                if p > 0:
-                    vmap.lazy_rows.update((r1, r2))
+            constant += (1.0 - lam) * br.loss.value_at_zero
+            segments = br.loss.segments(cap=br.capacity)
+            if not any(slope for _, slope in segments):
+                continue  # lossless
+            coeffs = {vmap.flow_var[i]: 1.0}
+            for k, (width, slope) in enumerate(segments):
+                for sign, direction in ((-1.0, "p"), (1.0, "m")):
+                    col = lp.add_variable(f"loss{direction}_{i}_{k}", 0.0, width)
+                    objective[col] = (1.0 - lam) * slope
+                    coeffs[col] = sign
+            lp.add_constraint(coeffs, "=", 0.0)
 
-    lp.set_objective(objective)
+    lp.set_objective(objective, constant)
     return lp, vmap
 
 
@@ -225,7 +220,7 @@ def solve_model(grid: PowerGrid, kind: ModelKind, lam: float) -> ModelSolution:
     checked against the DC coupling on every native branch.
     """
     lp, vmap = build_lp(grid, kind, lam)
-    sol = lp_engine.solve_lp(lp, vmap.lazy_rows)
+    sol = lp_engine.solve_lp(lp)
     if sol.status == LpStatus.INFEASIBLE:
         raise InfeasibleModel(f"{kind} model infeasible for {grid.name or 'grid'}")
     if sol.status != LpStatus.OPTIMAL:

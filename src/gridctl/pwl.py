@@ -55,17 +55,20 @@ class PiecewiseLinearConvex:
     def segments(self, cap: float | None = None) -> list[tuple[float, float]]:
         """(width, slope) of each linear segment covering [0, cap].
 
-        cap defaults to domain_max; a finite cap beyond the last breakpoint
-        extends the final piece (the max-of-affine form is defined there too).
-        Zero-width segments are dropped.
+        cap defaults to domain_max; a cap beyond the last breakpoint extends
+        the final piece (the max-of-affine form is defined there too), and an
+        infinite cap gives it an infinite width. A piece's segment is where
+        it is the maximum, clipped to [0, cap]; pieces that are the maximum
+        nowhere in [0, cap] are dropped.
         """
         hi = self.domain_max if cap is None else cap
-        if math.isinf(hi):
-            raise ValueError("cannot enumerate segments of unbounded domain")
-        xs = self.breakpoints() + [hi]
         out = []
-        for i, (a, _) in enumerate(self.pieces):
-            width = min(xs[i + 1], hi) - min(xs[i], hi)
+        for i, (a, c) in enumerate(self.pieces):
+            # piece i is the maximum right of where it crosses each flatter
+            # piece and left of where each steeper piece crosses it
+            lo = max(((c0 - c) / (a - a0) for a0, c0 in self.pieces[:i]), default=-math.inf)
+            up = min(((c - c1) / (a1 - a) for a1, c1 in self.pieces[i + 1:]), default=math.inf)
+            width = min(up, hi) - max(lo, 0.0)
             if width > 0:
                 out.append((width, a))
         return out

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog as scipy_linprog
 
-from gridctl import lp_engine
 from gridctl.lp_engine import LinearProgram, LpStatus, solve_lp
 from gridctl.power_flow_models import build_lp, electrical_model, flow_model
 
@@ -19,37 +18,44 @@ from conftest import get_case
 def brute_force_lp(lp: LinearProgram):
     """Enumerate candidate vertices: every n-subset of {rows as equalities,
     active bounds}. Requires all variables bounded (polytope is bounded, so
-    the optimum sits at a vertex)."""
+    the optimum sits at a vertex). All subset systems are solved in one
+    batched call; singular ones are dropped first."""
     n = lp.n_vars
-    rows = []
-    rhs = []
+    a_rows = np.zeros((lp.n_rows, n))
     for i, row in enumerate(lp.rows):
-        coeffs = np.zeros(n)
         for j, a in row.items():
-            coeffs[j] = a
-        rows.append(coeffs)
-        rhs.append(lp.rhs[i])
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = 1.0
-        rows.append(e.copy())
-        rhs.append(lp.lower[j])
-        rows.append(e)
-        rhs.append(lp.upper[j])
-    best = None
-    for subset in itertools.combinations(range(len(rows)), n):
-        a = np.array([rows[k] for k in subset])
-        b = np.array([rhs[k] for k in subset])
-        try:
-            x = np.linalg.solve(a, b)
-        except np.linalg.LinAlgError:
-            continue
-        if lp.feasibility_violation(x) > 1e-9:
-            continue
-        val = lp.objective_value(x)
-        if best is None or val < best:
-            best = val
-    return best  # None = infeasible
+            a_rows[i, j] = a
+    eye = np.eye(n)
+    rows = np.vstack([a_rows, eye, eye])
+    rhs = np.concatenate([lp.rhs, lp.lower, lp.upper])
+    subsets = np.array(list(itertools.combinations(range(len(rows)), n)))
+    a, b = rows[subsets], rhs[subsets]
+    # |det| over the product of the row norms is 0 for a singular system and
+    # at least 1e-6 for these small integer ones (Hadamard's inequality)
+    hadamard = np.prod(np.linalg.norm(a, axis=2), axis=1)
+    regular = np.abs(np.linalg.det(a)) > 1e-12 * hadamard
+    xs = np.linalg.solve(a[regular], b[regular][:, :, None])[:, :, 0]
+    xs = xs[feasibility_violations(lp, a_rows, xs) <= 1e-9]
+    if len(xs) == 0:
+        return None  # infeasible
+    c = np.zeros(n)
+    c[list(lp.obj)] = list(lp.obj.values())
+    return float((xs @ c).min() + lp.obj_constant)
+
+
+def feasibility_violations(lp: LinearProgram, a_rows: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """lp.feasibility_violation(x) for every row x of xs, in array code."""
+    lo, hi = np.array(lp.lower), np.array(lp.upper)
+    nearest = np.minimum(np.where(np.isinf(lo), np.inf, np.abs(lo)),
+                         np.where(np.isinf(hi), np.inf, np.abs(hi)))
+    scale = 1.0 + np.where(np.isinf(nearest), 0.0, nearest)
+    bounds = np.maximum((lo - xs) / scale, (xs - hi) / scale).max(axis=1, initial=0.0)
+    senses = np.array(lp.senses, dtype=object)
+    b = np.array(lp.rhs)
+    excess = (xs @ a_rows.T - b) / (1.0 + np.abs(b))
+    over = np.where(np.isin(senses, ["<=", "="]), excess, -np.inf).max(axis=1, initial=0.0)
+    under = np.where(np.isin(senses, [">=", "="]), -excess, -np.inf).max(axis=1, initial=0.0)
+    return np.maximum.reduce([bounds, over, under])
 
 
 def scipy_check(lp: LinearProgram):
@@ -281,76 +287,22 @@ def test_weak_duality_on_random_optima():
     assert checked > 20
 
 
-def test_lazy_rows_match_full_solve():
-    rng = np.random.default_rng(77)
-    infeasible = 0
-    for _ in range(40):
-        lp = random_lp(rng, int(rng.integers(2, 7)), int(rng.integers(2, 9)))
-        full = solve_lp(lp)
-        lazy = solve_lp(lp, set(range(0, lp.n_rows, 2)))
-        assert lazy.status == full.status
-        if full.status == LpStatus.OPTIMAL:
-            assert lazy.objective == pytest.approx(full.objective, abs=1e-6)
-            assert lp.feasibility_violation(lazy.values) <= 1e-6
-        elif full.status == LpStatus.INFEASIBLE:
-            assert farkas_gap(lp, lazy.ray) > 1e-6  # ray indexed by all rows
-            assert raw_ray_certifies(lp, lazy.ray)
-            infeasible += 1
-    assert infeasible > 5
-
-
-def test_lazy_rows_join_a_basis_holding_a_pinned_artificial():
-    # x + y = 4 twice: one artificial stays basic at zero after phase one,
-    # and its column index must move past the slacks of the appended rows
-    lp = LinearProgram()
-    x = lp.add_variable("x", 0.0, 10.0)
-    y = lp.add_variable("y", 0.0, 10.0)
-    lp.add_constraint({x: 1.0, y: 1.0}, "=", 4.0)
-    lp.add_constraint({x: 2.0, y: 2.0}, "=", 8.0)
-    cap_x = lp.add_constraint({x: 1.0}, "<=", 1.0)  # violated at the first optimum x = 4
-    lp.set_objective({x: -1.0})
-    full, lazy = solve_lp(lp), solve_lp(lp, {cap_x})
-    assert lazy.status == full.status == LpStatus.OPTIMAL
-    assert lazy.objective == pytest.approx(-1.0) == full.objective
-    assert lazy.values == pytest.approx([1.0, 3.0])
-    assert float(np.dot(lazy.dual_values, lp.rhs)) == pytest.approx(-1.0)
-
-    cap_y = lp.add_constraint({y: 1.0}, "<=", 2.0)  # violated once x = 1: infeasible
-    lazy = solve_lp(lp, {cap_x, cap_y})
-    assert lazy.status == solve_lp(lp).status == LpStatus.INFEASIBLE
-    assert raw_ray_certifies(lp, lazy.ray)
-
-
-# -- the warm-started lazy rounds on the power-flow LPs ----------------------------
+# -- KKT conditions on the power-flow LPs ------------------------------------------
 
 @pytest.mark.parametrize("case, kind, lam, capacity", [("case30", "electrical", 0.5, 1.0),
                                                        ("case118", "flow", 1.0, 1.0),
                                                        ("case39", "electrical", 0.5, 0.7)])
-def test_warm_started_lazy_rounds_meet_kkt_on_power_flow_lps(case, kind, lam, capacity,
-                                                             monkeypatch):
+def test_power_flow_lps_meet_kkt(case, kind, lam, capacity):
     # at 0.7 of their capacity, case39's lines bind, so reduced costs are nonzero
     model = electrical_model() if kind == "electrical" else flow_model()
-    lp, vmap = build_lp(get_case(case).scale_capacities(capacity), model, lam)
-    activated: list[int] = []
-    add_rows = lp_engine._Simplex.add_rows
+    lp, _vmap = build_lp(get_case(case).scale_capacities(capacity), model, lam)
+    sol = solve_lp(lp)
+    ref = scipy_check(lp)
+    assert sol.status == LpStatus.OPTIMAL and ref.status == 0
+    assert sol.objective == pytest.approx(ref.fun + lp.obj_constant, rel=1e-7)
 
-    def record(spx, rows):
-        activated.extend(rows)
-        add_rows(spx, rows)
-
-    monkeypatch.setattr(lp_engine._Simplex, "add_rows", record)
-    sol = solve_lp(lp, vmap.lazy_rows)
-    monkeypatch.undo()
-    full = solve_lp(lp)
-    assert sol.status == full.status == LpStatus.OPTIMAL
-    assert sol.objective == pytest.approx(full.objective, rel=1e-7)
-
-    never = set(range(lp.n_rows)) - set(activated)
-    assert never and never < vmap.lazy_rows  # some lazy rows stayed out ...
-    assert set(activated) & vmap.lazy_rows  # ... and some were appended warm
     y, d, x = sol.dual_values, sol.reduced_costs, sol.values
     assert len(y) == lp.n_rows
-    assert all(y[i] == 0.0 for i in never)
 
     tol = 1e-6
     for i, sense in enumerate(lp.senses):  # A x + s = b, '<=': s >= 0, '>=': s <= 0

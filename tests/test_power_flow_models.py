@@ -14,10 +14,11 @@ from gridctl.power_flow_models import (AngleCheck, CycleEdge, InfeasibleModel,
                                        check_electrical_feasibility,
                                        cycle_equivalent_flow, electrical_model,
                                        flow_model, hybrid_model, solve_model)
+from gridctl.graph_algorithms import Multigraph, TargetClass, min_feedback_set
 from gridctl.pwl import constant_zero
 from gridctl import case_io
 
-from conftest import get_case, linear_cost, triangle_grid, two_bus_grid
+from conftest import ALL_CASES, get_case, linear_cost, triangle_grid, two_bus_grid
 from dcopf_oracle import dcopf_generation_cost
 
 # frozen output of the scipy/HiGHS B-theta oracle (tests/dcopf_oracle.py)
@@ -111,6 +112,75 @@ def test_monotone_in_nested_control_sets():
             obj_small = solve_model(grid, hybrid_model(small), lam).objective
             obj_big = solve_model(grid, hybrid_model(big), lam).objective
             assert obj_small >= obj_big - 1e-6 * (1 + abs(obj_big))
+
+
+# case118 is left out: its exact forest feedback search alone takes about 50 s
+# until it runs on a graph reduced by its degree-1 and degree-2 vertices
+@pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("name", ["case6ww", "case9", "case14", "case30", "case39", "case57"])
+def test_forest_feedback_controls_reach_the_flow_optimum(name, lam):
+    # the native buses then span a forest, where every flow has angles
+    grid = get_case(name)
+    controls = min_feedback_set(Multigraph(grid.buses, grid.edges()), TargetClass.FOREST).vertices
+    f = solve_model(grid, flow_model(), lam)
+    h = solve_model(grid, hybrid_model(controls), lam)
+    assert h.objective == pytest.approx(f.objective, rel=1e-9)
+    for sol in (f, h):  # the segment objective is the cost of the returned flow
+        assert sol.objective == pytest.approx(sol.costs.weighted, rel=1e-9)
+
+
+def _component_count(buses, branches) -> int:
+    parent = {b: b for b in buses}
+
+    def root(b):
+        while parent[b] != b:
+            b = parent[b]
+        return b
+
+    for br in branches:
+        parent[root(br.u)] = root(br.v)
+    return len({root(b) for b in buses})
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("name", ALL_CASES)
+def test_lp_shape_of_the_segment_layout(name, lam):
+    grid = get_case(name)
+    lossy = [i for i, br in enumerate(grid.branches)
+             if any(a for _, a in br.loss.segments(cap=br.capacity))]
+    for kind in (flow_model(), electrical_model(), hybrid_model(grid.buses[::5])):
+        lp, vmap = build_lp(grid, kind, lam)
+        native = kind.native_vertices(grid)
+        native_branches = [br for br in grid.branches if br.u in native and br.v in native]
+        balance = sum(2 if bus in grid.generators and lam == 0.0 else 1 for bus in grid.buses)
+        coupling = gauges = 0
+        if kind.name != "flow":
+            coupling = len(native_branches)
+            gauges = _component_count(native, native_branches)
+        assert lp.n_rows == balance + coupling + gauges + (len(lossy) if lam < 1.0 else 0)
+
+        # each segment column sits in one row, and each row holds the
+        # segments of one generator (its balance row) or one branch's loss
+        structural = set(vmap.flow_var.values()) | set(vmap.theta_var.values())
+        seen: set[int] = set()
+        for bus, gen in grid.generators.items():
+            if lam > 0.0:
+                (row,) = vmap.balance_rows[bus]
+                segment_cols = set(lp.rows[row]) - structural
+                assert len(segment_cols) == len(gen.cost.segments(cap=gen.capacity))
+                seen |= segment_cols
+        loss_rows = [row for row in lp.rows if set(row) - structural - seen]
+        assert len(loss_rows) == (len(lossy) if lam < 1.0 else 0)
+        for row in loss_rows:
+            (f,) = set(row) & structural
+            i = next(i for i, col in vmap.flow_var.items() if col == f)
+            segment_cols = set(row) - structural
+            assert i in lossy and row[f] == 1.0
+            assert len(segment_cols) == 2 * len(grid.branches[i].loss.segments(
+                cap=grid.branches[i].capacity))
+            assert not segment_cols & seen
+            seen |= segment_cols
+        assert seen == set(range(lp.n_vars)) - structural
 
 
 # -- electrical feasibility of fixed flows ------------------------------------

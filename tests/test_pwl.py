@@ -97,3 +97,43 @@ def test_slope_monotonicity_machine_checkable():
     curve = pwl.from_samples(lambda x: x ** 4, 10.0, 5)
     slopes = [a for a, _ in curve.pieces]
     assert all(a < b for a, b in zip(slopes, slopes[1:]))
+
+
+def test_segments_clip_a_breakpoint_below_zero():
+    # the pieces cross at x = -5, so only the slope-1 piece is active on [0, 10]
+    curve = PiecewiseLinearConvex(((0.0, 0.0), (1.0, 5.0)), 10.0)
+    assert curve.segments() == [(10.0, 1.0)]
+    assert curve.value_at_zero + sum(w * a for w, a in curve.segments()) == curve(10.0)
+
+
+def test_segments_to_an_infinite_cap():
+    curve = pwl.from_samples(lambda x: x * x, 10.0, 6)
+    segs = curve.segments(cap=math.inf)
+    assert segs[:-1] == curve.segments(cap=8.0)
+    assert segs[-1] == (math.inf, curve.pieces[-1][0])
+    assert pwl.constant_zero().segments() == [(math.inf, 0.0)]
+
+
+def test_segments_skip_a_piece_that_is_never_the_maximum():
+    # (1, -5) lies below max(0, 2x - 6) everywhere, which switches at x = 3
+    curve = PiecewiseLinearConvex(((0.0, 0.0), (1.0, -5.0), (2.0, -6.0)), 10.0)
+    assert curve.segments() == [(3.0, 0.0), (7.0, 2.0)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    slopes=st.lists(st.floats(-10, 10), min_size=1, max_size=6, unique=True),
+    intercepts=st.lists(st.floats(-10, 10), min_size=6, max_size=6),
+    cap=st.floats(0, 100),
+    t=st.floats(0, 1),
+)
+def test_filling_segments_in_order_traces_the_function(slopes, intercepts, cap, t):
+    # the separable form value_at_zero + sum of slope * filled width is h(x)
+    curve = PiecewiseLinearConvex(tuple(zip(sorted(slopes), intercepts)), cap)
+    x = t * cap
+    value, left = curve.value_at_zero, x
+    for width, slope in curve.segments():
+        value += slope * min(width, left)
+        left -= min(width, left)
+    assert left <= 1e-9 * (1 + cap)
+    assert value == pytest.approx(curve(x), abs=1e-7 * (1 + abs(curve(x))))
