@@ -2,10 +2,11 @@
 
 All algorithms work on undirected multigraphs; parallel edges between the same
 pair of vertices form a 2-cycle (which a forest must not contain but a cactus
-may). Feedback-set and vertex-cover searches are exact branch-and-bound up to
-a configurable size threshold and fall back to a verified greedy heuristic
-with a reported lower bound beyond it. Tie-breaks always prefer the lowest
-vertex index, so results are deterministic.
+may). The feedback-set and vertex-cover searches are exact: each first
+shrinks the graph with kernel rules that keep the optimum size, then runs a
+branch-and-bound seeded by a greedy incumbent, and checks the set it returns
+on the original graph. Tie-breaks always prefer the lowest vertex index, so
+results are deterministic.
 """
 
 from __future__ import annotations
@@ -14,10 +15,6 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
-
-
-class BudgetExceeded(RuntimeError):
-    """No feasible vertex set within the given budget."""
 
 
 class Multigraph:
@@ -184,8 +181,6 @@ class TargetClass(Enum):
 @dataclass(frozen=True)
 class VertexSetResult:
     vertices: frozenset[int]
-    optimal: bool
-    lower_bound: int
 
 
 # ---------------------------------------------------------------------------
@@ -338,57 +333,78 @@ def _packing_bound(graph: Multigraph, alive: set[int], target: TargetClass) -> i
 # ---------------------------------------------------------------------------
 
 
-def _greedy_feedback(graph: Multigraph, alive: set[int], target: TargetClass,
-                     forbidden: frozenset[int] = frozenset()) -> set[int] | None:
+def _feedback_kernel(graph: Multigraph) -> Multigraph:
+    """Shrink the graph without changing its minimum feedback-set size.
+
+    Two rules run to a fixpoint, for both target classes: a vertex of degree
+    at most 1 is deleted, and a degree-2 vertex v with distinct neighbours
+    u and w is bypassed by replacing u-v-w with an edge u-w (parallel edges
+    that this creates are kept). Every cycle through v passes through u and
+    w, and so does every pair of cycles sharing an edge at v, so some
+    optimum avoids v; and subdividing an edge neither makes nor unmakes a
+    forest or a cactus. A degree-2 vertex whose two edges go to one
+    neighbour stays. Surviving vertices keep their ids.
+    """
+    # vertex -> {edge index: other endpoint}
+    nbrs = {v: dict(graph.neighbors(v)) for v in graph.vertices}
+    next_edge = len(graph.edges)
+    todo = list(reversed(graph.vertices))
+    while todo:
+        v = todo.pop()
+        if v not in nbrs:
+            continue
+        if len(nbrs[v]) <= 1:
+            for ei, u in nbrs.pop(v).items():
+                del nbrs[u][ei]
+                todo.append(u)
+        elif len(nbrs[v]) == 2:
+            (e1, u), (e2, w) = sorted(nbrs[v].items())
+            if u == w:
+                continue
+            # a bypass keeps every degree, so it makes no other vertex reducible
+            del nbrs[v], nbrs[u][e1], nbrs[w][e2]
+            nbrs[u][next_edge], nbrs[w][next_edge] = w, u
+            next_edge += 1
+    edges = {ei: (v, w) for v, es in nbrs.items() for ei, w in es.items() if v < w}
+    return Multigraph(nbrs, (edges[ei] for ei in sorted(edges)))
+
+
+def _greedy_feedback(graph: Multigraph, target: TargetClass) -> set[int]:
     """Feedback set by repeatedly deleting the busiest obstruction vertex."""
+    alive = set(graph.vertices)
     rest = set(alive)
     picked: set[int] = set()
     while True:
         obs = _obstruction(graph, rest, target)
         if obs is None:
             break
-        candidates = [v for v in obs if v not in forbidden]
-        if not candidates:
-            return None
-        choice = max(candidates, key=lambda v: (sum(1 for _e, w in graph.neighbors(v) if w in rest), -v))
+        choice = max(obs, key=lambda v: (sum(1 for _e, w in graph.neighbors(v) if w in rest), -v))
         picked.add(choice)
         rest.discard(choice)
     # drop redundant picks, lowest index first
     for v in sorted(picked):
         without = picked - {v}
-        if _obstruction(graph, set(alive) - without, target) is None:
+        if _obstruction(graph, alive - without, target) is None:
             picked = without
     return picked
 
 
-def min_feedback_set(graph: Multigraph, target: TargetClass,
-                     budget: int | None = None,
-                     exact_threshold: int = 150) -> VertexSetResult:
+def min_feedback_set(graph: Multigraph, target: TargetClass) -> VertexSetResult:
     """Smallest vertex set whose removal puts the graph in the target class.
 
-    Exact branch-and-bound when |V| <= exact_threshold, otherwise greedy with
-    a packing lower bound. The returned set is always re-verified against the
-    target class. Raises BudgetExceeded when a budget is given and no feasible
-    set within it exists.
+    Exact: the search runs on the kernel of ``_feedback_kernel``, starts from
+    a greedy incumbent, and branches on obstructions (a shortest cycle for a
+    forest, two cycles sharing an edge for a cactus), pruning with a packing
+    of vertex-disjoint obstructions as the lower bound. The returned set is
+    checked against the target class on the original graph.
     """
-    alive = set(graph.vertices)
-    exact = len(alive) <= exact_threshold
-
-    greedy = _greedy_feedback(graph, alive, target)
-    assert greedy is not None
-    best: set[int] = set(greedy)
-
-    lower = _packing_bound(graph, alive, target)
-    if exact and len(best) > lower:
-        best = _branch_and_bound_feedback(graph, alive, target, best)
-        lower = len(best)
-
+    kernel = _feedback_kernel(graph)
+    best = _greedy_feedback(kernel, target)
+    alive = set(kernel.vertices)
+    if len(best) > _packing_bound(kernel, alive, target):
+        best = _branch_and_bound_feedback(kernel, alive, target, best)
     assert target.check(graph.without_vertices(best)), "feedback verifier failed"
-    if budget is not None and len(best) > budget:
-        if exact:
-            raise BudgetExceeded(f"minimum {target.value} feedback set has size {len(best)} > {budget}")
-        raise BudgetExceeded(f"no {target.value} feedback set within budget {budget} found")
-    return VertexSetResult(frozenset(best), exact, lower if not exact else len(best))
+    return VertexSetResult(frozenset(best))
 
 
 def _branch_and_bound_feedback(graph: Multigraph, alive: set[int],
@@ -448,12 +464,10 @@ def _greedy_cover(edges: list[tuple[int, int]]) -> set[int]:
     return cover
 
 
-def _matching_bound(edges: list[tuple[int, int]], banned: set[int]) -> int:
+def _matching_bound(edges: list[tuple[int, int]]) -> int:
     used: set[int] = set()
     count = 0
     for u, v in edges:
-        if u in banned or v in banned:
-            continue
         if u not in used and v not in used:
             used.add(u)
             used.add(v)
@@ -461,25 +475,47 @@ def _matching_bound(edges: list[tuple[int, int]], banned: set[int]) -> int:
     return count
 
 
-def min_vertex_cover(graph: Multigraph, budget: int | None = None,
-                     exact_threshold: int = 150) -> VertexSetResult:
-    """Minimum vertex cover; exact branch-and-bound below the size threshold.
+def _forced_cover(edges: list[tuple[int, int]]) -> set[int]:
+    """Vertices some minimum cover holds: the neighbours of degree-1 vertices.
 
-    The result is verified: every edge has a covered endpoint.
+    A cover holding a leaf can swap it for the leaf's neighbour, so the
+    neighbour is taken and its edges dropped, until no leaf is left.
+    """
+    adj: dict[int, set[int]] = {}
+    for u, v in edges:
+        adj.setdefault(u, set()).add(v)
+        adj.setdefault(v, set()).add(u)
+    forced: set[int] = set()
+    todo = sorted(adj, reverse=True)
+    while todo:
+        v = todo.pop()
+        if len(adj.get(v, ())) != 1:
+            continue
+        (u,) = adj[v]
+        forced.add(u)
+        for w in adj.pop(u):
+            adj[w].discard(u)
+            todo.append(w)
+    return forced
+
+
+def min_vertex_cover(graph: Multigraph) -> VertexSetResult:
+    """Minimum vertex cover, exact.
+
+    Neighbours of leaves are forced into the cover first (``_forced_cover``);
+    a branch-and-bound with a matching lower bound, seeded by a greedy cover,
+    covers the edges left. The result is verified: every edge has a covered
+    endpoint.
     """
     edges = _cover_edges(graph)
-    best = _greedy_cover(edges)
-    exact = len(graph.vertices) <= exact_threshold
-    lower = _matching_bound(edges, set())
-
-    if exact and len(best) > lower:
-        best = _branch_and_bound_cover(edges, best)
-        lower = len(best)
-
+    forced = _forced_cover(edges)
+    rest = [(u, v) for u, v in edges if u not in forced and v not in forced]
+    found = _greedy_cover(rest)
+    if len(found) > _matching_bound(rest):
+        found = _branch_and_bound_cover(rest, found)
+    best = forced | found
     assert all(u in best or v in best for u, v in edges), "cover verifier failed"
-    if budget is not None and len(best) > budget:
-        raise BudgetExceeded(f"vertex cover needs {len(best)} > budget {budget}")
-    return VertexSetResult(frozenset(best), exact, lower if not exact else len(best))
+    return VertexSetResult(frozenset(best))
 
 
 def _branch_and_bound_cover(edges: list[tuple[int, int]], incumbent: set[int]) -> set[int]:
@@ -520,7 +556,7 @@ def _branch_and_bound_cover(edges: list[tuple[int, int]], incumbent: set[int]) -
         if not open_edges:
             best = set(chosen)
             continue
-        if len(chosen) + _matching_bound(open_edges, set()) >= len(best):
+        if len(chosen) + _matching_bound(open_edges) >= len(best):
             continue
         deg: Counter = Counter()
         for u, v in open_edges:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Sequence
 
 
@@ -43,14 +44,9 @@ class PiecewiseLinearConvex:
         return self(0.0)
 
     def breakpoints(self) -> list[float]:
-        """x-values where the active piece changes, starting at 0.
-
-        Consecutive pieces (a1,c1), (a2,c2) cross at x = (c1-c2)/(a2-a1).
-        """
-        xs = [0.0]
-        for (a1, c1), (a2, c2) in zip(self.pieces, self.pieces[1:]):
-            xs.append((c1 - c2) / (a2 - a1))
-        return xs
+        """Where each segment of ``segments()`` starts: 0, then every x in
+        (0, domain_max) where the active piece changes."""
+        return [0.0, *accumulate(width for width, _a in self.segments()[:-1])]
 
     def segments(self, cap: float | None = None) -> list[tuple[float, float]]:
         """(width, slope) of each linear segment covering [0, cap].

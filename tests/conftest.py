@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import math
+from functools import cache
 
 import pytest
 
 from gridctl import load_case
+from gridctl.graph_algorithms import Multigraph, TargetClass, min_feedback_set
 from gridctl.grid_model import Branch, Generator, PowerGrid
 from gridctl.pwl import PiecewiseLinearConvex, constant_zero
 
@@ -19,6 +21,13 @@ def get_case(name: str):
     if name not in _cache:
         _cache[name] = load_case(name)
     return _cache[name]
+
+
+@cache
+def forest_feedback_set(name: str) -> frozenset[int]:
+    """The case's minimum forest feedback set, searched once per session."""
+    grid = get_case(name)
+    return min_feedback_set(Multigraph(grid.buses, grid.edges()), TargetClass.FOREST).vertices
 
 
 @pytest.fixture(params=ALL_CASES)

@@ -2,16 +2,15 @@ from __future__ import annotations
 
 from itertools import combinations
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridctl.graph_algorithms import (BlockKind, BudgetExceeded, Multigraph,
-                                      TargetClass, biconnected_components,
+from gridctl.graph_algorithms import (BlockKind, Multigraph, TargetClass,
+                                      _feedback_kernel, biconnected_components,
                                       is_cactus, is_forest, min_feedback_set,
                                       min_vertex_cover)
 
-from conftest import ALL_CASES, get_case
+from conftest import ALL_CASES, forest_feedback_set, get_case
 
 
 def graph(edges, extra_vertices=()):
@@ -222,11 +221,6 @@ def test_feedback_self_certifies():
             assert target.check(g.without_vertices(res.vertices))
 
 
-def test_budget_exceeded():
-    with pytest.raises(BudgetExceeded):
-        min_feedback_set(K4, TargetClass.FOREST, budget=1)
-
-
 def test_forest_feedback_at_least_cactus_feedback():
     for g in (K4, TWO_TRIANGLES, C5, TRIANGLE, PARALLEL):
         f = min_feedback_set(g, TargetClass.FOREST)
@@ -243,9 +237,83 @@ def test_feedback_exactness_on_random_graphs(pairs):
     g = graph(edges)
     for target in TargetClass:
         res = min_feedback_set(g, target)
-        assert res.optimal
         assert len(res.vertices) == brute_min_feedback(g, target)
         assert target.check(g.without_vertices(res.vertices))
+
+
+def subdivided(edges, first_new, pieces):
+    """Each edge u-v becomes a path through `pieces` new vertices."""
+    out, fresh = [], first_new
+    for u, v in edges:
+        path = [u, *range(fresh, fresh + pieces), v]
+        fresh += pieces
+        out += zip(path, path[1:])
+    return out
+
+
+def test_fully_subdivided_k4_reduces_to_k4():
+    g = graph(subdivided(K4.edges, 10, 1))
+    kernel = _feedback_kernel(g)
+    assert kernel.vertices == K4.vertices and len(kernel.edges) == 6
+    assert len(min_feedback_set(g, TargetClass.FOREST).vertices) == 2
+    assert len(min_feedback_set(g, TargetClass.CACTUS).vertices) == 1
+
+
+def test_triangle_bypass_keeps_parallel_pair():
+    kernel = _feedback_kernel(TRIANGLE)
+    assert len(kernel.vertices) == 2 and len(kernel.edges) == 2
+    assert len(set(map(frozenset, kernel.edges))) == 1
+    # two triangles on one edge leave three parallel edges: not a cactus
+    diamond = graph([(1, 2), (2, 3), (3, 1), (2, 4), (4, 3)])
+    kernel = _feedback_kernel(diamond)
+    assert kernel.vertices == (2, 3) and len(kernel.edges) == 3
+    for target in TargetClass:
+        assert len(min_feedback_set(diamond, target).vertices) == 1
+
+
+def test_two_cycle_with_pendant_path_keeps_its_vertices():
+    # vertex 2 has degree 2 once the path is gone, but both edges go to 1
+    g = graph([(1, 2), (1, 2), (2, 3), (3, 4)])
+    kernel = _feedback_kernel(g)
+    assert kernel.vertices == (1, 2) and len(kernel.edges) == 2
+    assert len(min_feedback_set(g, TargetClass.FOREST).vertices) == 1
+    assert len(min_feedback_set(g, TargetClass.CACTUS).vertices) == 0
+
+
+@st.composite
+def sparse_graphs(draw):
+    """A core on at most 6 vertices, some edges subdivided by 1-2 new vertices,
+    and pendant trees grown by hanging each new vertex on an earlier one."""
+    pairs = draw(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), min_size=1, max_size=9))
+    edges, fresh = [], 6
+    for u, v in pairs:
+        if u == v:
+            continue
+        pieces = draw(st.integers(0, 2)) if fresh < 11 else 0
+        edges += subdivided([(u, v)], fresh, pieces)
+        fresh += pieces
+    if not edges:
+        return None
+    vertices = sorted({x for e in edges for x in e})
+    for _ in range(draw(st.integers(0, 4))):
+        edges.append((draw(st.sampled_from(vertices)), fresh))
+        vertices.append(fresh)
+        fresh += 1
+    return graph(edges)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_graphs())
+def test_exactness_on_sparse_graphs(g):
+    if g is None:
+        return
+    for target in TargetClass:
+        res = min_feedback_set(g, target)
+        assert len(res.vertices) == brute_min_feedback(g, target)
+        assert target.check(g.without_vertices(res.vertices))
+    cover = min_vertex_cover(g).vertices
+    assert len(cover) == brute_min_cover(g)
+    assert all(u in cover or v in cover for u, v in g.edges)
 
 
 # -- vertex cover ------------------------------------------------------------
@@ -257,6 +325,14 @@ def test_single_edge_cover():
 def test_star_cover_is_center():
     star = graph([(0, i) for i in range(1, 6)])
     assert min_vertex_cover(star).vertices == {0}
+
+
+def test_leaf_rule_on_path_and_caterpillar():
+    path = graph([(i, i + 1) for i in range(11)])
+    assert len(min_vertex_cover(path).vertices) == brute_min_cover(path) == 6
+    caterpillar = graph([(i, i + 1) for i in range(4)] + [(i, 10 + i) for i in range(5)])
+    res = min_vertex_cover(caterpillar)
+    assert len(res.vertices) == brute_min_cover(caterpillar) == 5
 
 
 def test_c5_cover_is_3():
@@ -281,5 +357,4 @@ def test_cover_dominates_feedback_on_ieee_cases():
         grid = get_case(name)
         g = Multigraph(grid.buses, grid.edges())
         vc = min_vertex_cover(g)
-        fvs = min_feedback_set(g, TargetClass.FOREST)
-        assert len(vc.vertices) >= len(fvs.vertices)
+        assert len(vc.vertices) >= len(forest_feedback_set(name))

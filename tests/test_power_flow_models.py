@@ -14,11 +14,11 @@ from gridctl.power_flow_models import (AngleCheck, CycleEdge, InfeasibleModel,
                                        check_electrical_feasibility,
                                        cycle_equivalent_flow, electrical_model,
                                        flow_model, hybrid_model, solve_model)
-from gridctl.graph_algorithms import Multigraph, TargetClass, min_feedback_set
 from gridctl.pwl import constant_zero
 from gridctl import case_io
 
-from conftest import ALL_CASES, get_case, linear_cost, triangle_grid, two_bus_grid
+from conftest import (ALL_CASES, forest_feedback_set, get_case, linear_cost,
+                      triangle_grid, two_bus_grid)
 from dcopf_oracle import dcopf_generation_cost
 
 # frozen output of the scipy/HiGHS B-theta oracle (tests/dcopf_oracle.py)
@@ -114,16 +114,13 @@ def test_monotone_in_nested_control_sets():
             assert obj_small >= obj_big - 1e-6 * (1 + abs(obj_big))
 
 
-# case118 is left out: its exact forest feedback search alone takes about 50 s
-# until it runs on a graph reduced by its degree-1 and degree-2 vertices
 @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
-@pytest.mark.parametrize("name", ["case6ww", "case9", "case14", "case30", "case39", "case57"])
+@pytest.mark.parametrize("name", ALL_CASES)
 def test_forest_feedback_controls_reach_the_flow_optimum(name, lam):
     # the native buses then span a forest, where every flow has angles
     grid = get_case(name)
-    controls = min_feedback_set(Multigraph(grid.buses, grid.edges()), TargetClass.FOREST).vertices
     f = solve_model(grid, flow_model(), lam)
-    h = solve_model(grid, hybrid_model(controls), lam)
+    h = solve_model(grid, hybrid_model(forest_feedback_set(name)), lam)
     assert h.objective == pytest.approx(f.objective, rel=1e-9)
     for sol in (f, h):  # the segment objective is the cost of the returned flow
         assert sol.objective == pytest.approx(sol.costs.weighted, rel=1e-9)

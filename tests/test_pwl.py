@@ -54,6 +54,13 @@ def test_breakpoints_and_segments():
     assert segs_cap[-1][1] == slopes[-1]
 
 
+def test_breakpoints_skip_a_piece_that_is_never_the_maximum():
+    # max(0, x - 5, 2x - 6): the middle piece is below one of the others
+    # everywhere, so the function switches once, from 0 to 2x - 6 at x = 3
+    curve = PiecewiseLinearConvex(((0.0, 0.0), (1.0, -5.0), (2.0, -6.0)), 10.0)
+    assert curve.breakpoints() == pytest.approx([0, 3])
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     c2=st.floats(0.0, 5.0),
