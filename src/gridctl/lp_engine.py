@@ -4,11 +4,15 @@ The solver is a bounded-variable revised simplex: variables carry two-sided
 bounds (signed branch flows live in [-c, c], cost segments in [0, w], angles
 are free), rows become equalities via one slack column each, and an
 infeasible starting point is repaired by a phase-one minimization over
-artificial columns. A nonbasic variable that reaches its opposite bound
-flips there without a pivot. Dantzig pricing with a Bland's-rule fallback
-after a degeneracy streak keeps the pivot sequence deterministic. The basis
-inverse is kept explicitly with rank-one updates and periodic
-refactorization.
+artificial columns. Every structural column starts at the point of its box
+nearest zero, so only rows with a nonzero right-hand side can need an
+artificial. A nonbasic column strictly inside its box may move either way and
+is priced like a free column; one that reaches its opposite bound flips there
+without a pivot. Dantzig pricing and a Harris two-pass ratio test pick the
+pivots, with Bland's rule after a degeneracy streak; the pivot sequence is
+deterministic. The basis inverse is kept explicitly with rank-one updates and
+periodic refactorization. An infeasible verdict is returned only with a
+checked Farkas certificate.
 """
 
 from __future__ import annotations
@@ -25,8 +29,8 @@ _TOL = 1e-7  # optimality and primal feasibility tolerance
 _REFACTOR_EVERY = 150
 _BLAND_TRIGGER = 50  # consecutive degenerate pivots before Bland's rule
 _PIVOT_TOL = 1e-9
-_BOUND_EPS = 1e-9
-_TIE_EPS = 1e-10  # ratios this close tie in the ratio test
+_BOUND_EPS = 1e-9  # bound slack of the Harris ratio test
+_NOISE = 1e-9  # relative size of rounding noise in a Farkas ray
 
 
 class NumericalBreakdown(RuntimeError):
@@ -94,25 +98,32 @@ class LinearProgram:
     def objective_value(self, x) -> float:
         return float(sum(a * x[j] for j, a in self.obj.items()) + self.obj_constant)
 
-    def row_activity(self, row: int, x) -> float:
-        return float(sum(a * x[j] for j, a in self.rows[row].items()))
+    def coefficients(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Row index, column index and value of every coefficient, row by row."""
+        r_idx = np.repeat(np.arange(self.n_rows), [len(row) for row in self.rows])
+        c_idx = np.fromiter((j for row in self.rows for j in row), dtype=np.int64, count=r_idx.size)
+        vals = np.fromiter((a for row in self.rows for a in row.values()), dtype=float,
+                           count=r_idx.size)
+        return r_idx, c_idx, vals
 
     def feasibility_violation(self, x) -> float:
-        """Largest scaled constraint/bound violation of x (0 when feasible)."""
-        worst = 0.0
-        for j in range(self.n_vars):
-            lo, hi = self.lower[j], self.upper[j]
-            scale = 1.0 + min(abs(b) for b in (lo, hi) if not math.isinf(b)) \
-                if not (math.isinf(lo) and math.isinf(hi)) else 1.0
-            worst = max(worst, (lo - x[j]) / scale, (x[j] - hi) / scale)
-        for i in range(self.n_rows):
-            act = self.row_activity(i, x)
-            scale = 1.0 + abs(self.rhs[i])
-            if self.senses[i] in ("<=", "="):
-                worst = max(worst, (act - self.rhs[i]) / scale)
-            if self.senses[i] in (">=", "="):
-                worst = max(worst, (self.rhs[i] - act) / scale)
-        return worst
+        """Largest scaled constraint/bound violation of x (0 when feasible).
+
+        A bound violation is divided by 1 + the smaller finite |bound| of its
+        column (1 when both are infinite), a row violation by 1 + |rhs|.
+        """
+        x = np.asarray(x, dtype=float)
+        lo, hi = np.array(self.lower), np.array(self.upper)
+        nearest = np.minimum(np.abs(lo), np.abs(hi))
+        scale = 1.0 + np.where(np.isinf(nearest), 0.0, nearest)
+        rhs = np.array(self.rhs)
+        r_idx, c_idx, vals = self.coefficients()
+        activity = np.bincount(r_idx, weights=vals * x[c_idx], minlength=self.n_rows)
+        excess = (activity - rhs) / (1.0 + np.abs(rhs))
+        senses = np.array(self.senses)
+        return float(max(((lo - x) / scale).max(initial=0.0), ((x - hi) / scale).max(initial=0.0),
+                         excess[senses != ">="].max(initial=0.0),
+                         (-excess[senses != "<="]).max(initial=0.0)))
 
 
 @dataclass
@@ -128,29 +139,29 @@ class LpSolution:
 
 class _Simplex:
     """Equality-form working problem A x + I s + D a = b over the rows of
-    `lp`. Columns are structural | slack | artificial. Each row whose slack
-    cannot absorb its residual at the starting point gets an artificial
-    column, a signed unit column in [0, inf) that starts basic; artificials
-    never enter the basis.
+    `lp`. Columns are structural | slack | artificial. Each structural column
+    starts at the point of its box nearest zero (0 when the box holds it), so
+    flows, angles and cost segments start at 0. Each row whose slack cannot
+    absorb its residual at that point gets an artificial column, a signed
+    unit column in [0, inf) that starts basic; artificials never enter the
+    basis. `rise` and `fall` mark the nonbasic columns that may move up or
+    down from where they stand; only the entering, leaving and bound-flipped
+    columns change them.
     """
 
     def __init__(self, lp: LinearProgram):
         n, m = lp.n_vars, lp.n_rows
         self.total = n + m  # index of the first artificial column
         self.iterations = 0
-        r_idx = np.array([i for i, row in enumerate(lp.rows) for _ in row], dtype=np.int64)
-        c_idx = np.array([j for row in lp.rows for j in row], dtype=np.int64)
-        vals = np.array([a for row in lp.rows for a in row.values()], dtype=float)
+        r_idx, c_idx, vals = lp.coefficients()
         a_struct = sparse.csc_matrix((vals, (r_idx, c_idx)), shape=(m, n))
         self.b = np.array(lp.rhs, dtype=float)
         lower = np.array(lp.lower, dtype=float)
         upper = np.array(lp.upper, dtype=float)
 
-        # start: every structural nonbasic at its finite bound nearest zero;
         # each slack takes the value nearest its row's residual and is basic
         # when it absorbs all of it, otherwise a basic artificial takes the rest
-        use_lo = ~np.isinf(lower) & (np.isinf(upper) | (np.abs(lower) <= np.abs(upper)))
-        x = np.where(use_lo, lower, np.where(np.isinf(upper), 0.0, upper))
+        x = np.clip(0.0, lower, upper)
         slack_lo = np.array([-INF if s == ">=" else 0.0 for s in lp.senses])
         slack_hi = np.array([INF if s == "<=" else 0.0 for s in lp.senses])
         resid = self.b - a_struct @ x
@@ -175,6 +186,8 @@ class _Simplex:
         self.basis = n + np.arange(m)
         self.basis[art_rows] = self.total + np.arange(n_art)
         self.in_basis = np.isin(np.arange(len(self.x)), self.basis)
+        self.rise = ~self.in_basis & (self.x < self.upper)
+        self.fall = ~self.in_basis & (self.x > self.lower)
         self.max_iter = 2000 + 50 * (m + self.total)
         self._refactor()
 
@@ -196,18 +209,8 @@ class _Simplex:
         return cost[self.basis] @ self.b_inv
 
     def _entering(self, d: np.ndarray, bland: bool) -> tuple[int, float] | None:
-        x, lo, hi = self.x, self.lower, self.upper
-        nb = ~self.in_basis & (lo != hi)
-        nb[self.total:] = False
-        free = np.isinf(lo) & np.isinf(hi)
-        at_lo = np.zeros(len(x), dtype=bool)
-        fl = ~np.isinf(lo)
-        at_lo[fl] = x[fl] <= lo[fl] + _BOUND_EPS * (1 + np.abs(lo[fl]))
-        at_hi = np.zeros(len(x), dtype=bool)
-        fh = ~np.isinf(hi)
-        at_hi[fh] = x[fh] >= hi[fh] - _BOUND_EPS * (1 + np.abs(hi[fh]))
-        can_up = nb & (at_lo | free) & (d < -_TOL)
-        can_dn = nb & (at_hi | free) & (d > _TOL)
+        can_up = self.rise & (d < -_TOL)
+        can_dn = self.fall & (d > _TOL)
         if bland:
             idx = np.flatnonzero(can_up | can_dn)
             if idx.size == 0:
@@ -220,24 +223,34 @@ class _Simplex:
             return None
         return j, 1.0 if can_up[j] else -1.0
 
-    def _ratio_test(self, j: int, direction: float, w: np.ndarray) -> tuple[float, int]:
+    def _ratio_test(self, j: int, direction: float, w: np.ndarray,
+                    bland: bool) -> tuple[float, int]:
         """Step length and leaving basis row, -1 when column j flips bounds.
 
-        The smallest ratio among the basics wins; ties go to the lowest basis
-        column (anti-cycling), and a tie with column j's own opposite bound
-        is a bound flip. An infinite step means the direction is a ray.
+        Harris's two passes. The first finds the largest step that every
+        basic column allows with its bounds relaxed by _BOUND_EPS. The second
+        takes, among the rows that block within that step, the one with the
+        largest |w_r|, or under Bland's rule the lowest basis column, and
+        steps to its exact ratio, so no basic column in the test ends more
+        than _BOUND_EPS outside its bounds. When column j's own distance to its
+        bound in the direction of the move, `limit`, fits in the first
+        pass's step, j flips instead. An infinite step means the direction
+        is a ray.
         """
         limit = self.upper[j] - self.x[j] if direction > 0 else self.x[j] - self.lower[j]
         step = -direction * w
         rows = np.flatnonzero(np.abs(step) > _PIVOT_TOL)
         bj = self.basis[rows]
+        rate = np.abs(step[rows])
         cap = np.where(step[rows] > 0, self.upper[bj] - self.x[bj], self.x[bj] - self.lower[bj])
-        ratio = np.maximum(cap, 0.0) / np.abs(step[rows])
-        if ratio.size == 0 or ratio.min() >= limit - _TIE_EPS:
+        cap = np.maximum(cap, 0.0)
+        reach = ((cap + _BOUND_EPS) / rate).min(initial=INF)
+        if limit <= reach:
             return limit, -1
-        best = ratio.min()
-        tied = rows[ratio <= best + _TIE_EPS]
-        return best, int(tied[np.argmin(self.basis[tied])])
+        ratio = cap / rate
+        blocking = np.flatnonzero(ratio <= reach)
+        pick = blocking[np.argmin(bj[blocking]) if bland else np.argmax(rate[blocking])]
+        return float(ratio[pick]), int(rows[pick])
 
     def _pivot(self, j: int, r: int, w: np.ndarray) -> None:
         """Column j replaces basis row r; the leaving column snaps to a bound."""
@@ -248,8 +261,12 @@ class _Simplex:
         elif not math.isinf(hi):
             self.x[leaving] = hi
         self.in_basis[leaving] = False
+        if leaving < self.total:  # artificials never enter
+            self.rise[leaving] = self.x[leaving] < hi
+            self.fall[leaving] = self.x[leaving] > lo
         self.basis[r] = j
         self.in_basis[j] = True
+        self.rise[j] = self.fall[j] = False
 
         self.b_inv[r] /= w[r]
         row = self.b_inv[r].copy()
@@ -264,44 +281,73 @@ class _Simplex:
                 raise NumericalBreakdown(f"iteration limit {self.max_iter} exceeded")
             y = self._duals(cost)
             d = cost - self.AT @ y
-            pick = self._entering(d, bland=degenerate_streak >= _BLAND_TRIGGER)
+            bland = degenerate_streak >= _BLAND_TRIGGER
+            pick = self._entering(d, bland)
             if pick is None:
                 return "optimal"
             j, direction = pick
             w = self._ftran(j)
-            step_len, leave = self._ratio_test(j, direction, w)
+            step_len, leave = self._ratio_test(j, direction, w, bland)
             if math.isinf(step_len):
                 self._ray = (j, direction, w)
                 return "unbounded"
 
             degenerate_streak = degenerate_streak + 1 if step_len <= _TOL else 0
-            self.x[j] += direction * step_len
-            moved = np.abs(w) > _PIVOT_TOL
-            self.x[self.basis[moved]] -= direction * step_len * w[moved]
+            self.x[self.basis] -= direction * step_len * w
             self.iterations += 1
-            if leave < 0:
-                continue  # bound flip, basis unchanged
+            if leave < 0:  # bound flip, basis unchanged
+                self.x[j] = self.upper[j] if direction > 0 else self.lower[j]
+                self.rise[j], self.fall[j] = direction < 0, direction > 0
+                continue
 
+            self.x[j] += direction * step_len
             self._pivot(j, leave, w)
             since_refactor += 1
             if since_refactor >= _REFACTOR_EVERY:
                 self._refactor()
                 since_refactor = 0
 
-    def phase1(self) -> bool:
-        """Drive the artificials to zero; False when the rows are infeasible."""
+    def _farkas_gap(self, y: np.ndarray) -> float:
+        """How far y.b lies outside the range of y.(A x + s) over the bounds
+        of the structural and slack columns; a positive gap proves the rows
+        infeasible. An entry of y.A at or below _NOISE of the sum of the
+        magnitudes of its terms is cancellation noise and counts as zero."""
+        w = (self.AT @ y)[:self.total]
+        w[np.abs(w) <= _NOISE * (abs(self.AT) @ np.abs(y))[:self.total]] = 0.0
+        on = np.flatnonzero(w)
+        at_lo, at_hi = w[on] * self.lower[on], w[on] * self.upper[on]
+        yb = float(y @ self.b)
+        return max(np.minimum(at_lo, at_hi).sum() - yb, yb - np.maximum(at_lo, at_hi).sum())
+
+    def phase1(self) -> np.ndarray | None:
+        """Drive the artificials to zero. Returns None when they get there,
+        or a Farkas row ray when the rows are infeasible.
+
+        A phase-one optimum above tolerance counts as infeasible only when
+        it holds after a refactorization and its duals pass the Farkas
+        interval test; otherwise NumericalBreakdown is raised.
+        """
         if self.total == len(self.x):  # no artificials: the start is feasible
-            return True
+            return None
         art = slice(self.total, None)
-        self.art_cost = (np.arange(len(self.x)) >= self.total).astype(float)
-        if self.run(self.art_cost) != "optimal":  # bounded below by 0
+        art_cost = (np.arange(len(self.x)) >= self.total).astype(float)
+        if self.run(art_cost) != "optimal":  # bounded below by 0
             raise NumericalBreakdown("phase one reported unbounded")
         scale = 1.0 + float(np.abs(self.b).max(initial=0.0))
         if np.abs(self.x[art]).sum() > _TOL * scale * 10:
-            return False
+            self._refactor()
+            if np.abs(self.x[art]).sum() > _TOL * scale * 10:
+                y = self._duals(art_cost)
+                # zero rounding noise; failing that, keep every entry, or zero
+                # what pricing treated as zero
+                for noise in (_NOISE, 0.0, _TOL):
+                    ray = np.where(np.abs(y) > noise * np.abs(y).max(), y, 0.0)
+                    if self._farkas_gap(ray) > _TOL * scale:
+                        return ray
+            raise NumericalBreakdown("phase one stalled above zero without a Farkas certificate")
         self.upper[art] = 0.0  # pin artificials so phase two cannot revive them
         self.x[art] = np.clip(self.x[art], 0.0, None)
-        return True
+        return None
 
 
 def solve_lp(lp: LinearProgram) -> LpSolution:
@@ -309,16 +355,17 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
 
     Optimal solutions are certified: the primal point satisfies every row
     within 10*_TOL*(1+|rhs|) and the duals/reduced costs satisfy complementary
-    slackness. Infeasible problems carry a Farkas row ray, with entries at or
-    below 1e-9 of its largest zeroed; unbounded ones a primal ray. Duals and
-    rays index the rows of `lp`. Identical inputs give the identical pivot
-    sequence.
+    slackness. Infeasible problems carry a Farkas row ray that passed the
+    interval test before it is returned, with entries at or below 1e-9 of
+    its largest zeroed whenever the certificate holds without them; a
+    phase-one stall without one raises NumericalBreakdown. Unbounded
+    problems carry a primal ray. Duals and rays index the rows of `lp`.
+    Identical inputs give the identical pivot sequence.
     """
     spx = _Simplex(lp)
     n = lp.n_vars
-    if not spx.phase1():
-        ray = spx._duals(spx.art_cost)
-        ray[np.abs(ray) <= 1e-9 * np.abs(ray).max()] = 0.0  # rounding noise
+    ray = spx.phase1()
+    if ray is not None:
         return LpSolution(LpStatus.INFEASIBLE, ray=ray, iterations=spx.iterations)
 
     if spx.run(spx.c) == "unbounded":

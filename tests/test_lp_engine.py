@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog as scipy_linprog
 
-from gridctl.lp_engine import LinearProgram, LpStatus, solve_lp
+from gridctl import lp_engine
+from gridctl.lp_engine import LinearProgram, LpStatus, NumericalBreakdown, solve_lp
 from gridctl.power_flow_models import build_lp, electrical_model, flow_model
 
 from conftest import get_case
@@ -56,6 +57,26 @@ def feasibility_violations(lp: LinearProgram, a_rows: np.ndarray, xs: np.ndarray
     over = np.where(np.isin(senses, ["<=", "="]), excess, -np.inf).max(axis=1, initial=0.0)
     under = np.where(np.isin(senses, [">=", "="]), -excess, -np.inf).max(axis=1, initial=0.0)
     return np.maximum.reduce([bounds, over, under])
+
+
+def feasibility_violation_loop(lp: LinearProgram, x) -> float:
+    """lp.feasibility_violation(x), one column and one row at a time."""
+    worst = 0.0
+    for j in range(lp.n_vars):
+        lo, hi = lp.lower[j], lp.upper[j]
+        scale = 1.0 + min(abs(b) for b in (lo, hi) if not math.isinf(b)) \
+            if not (math.isinf(lo) and math.isinf(hi)) else 1.0
+        worst = max(worst, (lo - x[j]) / scale, (x[j] - hi) / scale)
+    for i, row in enumerate(lp.rows):
+        act = 0.0
+        for j, a in row.items():  # plain left-to-right sum, as in the array code
+            act += a * x[j]
+        scale = 1.0 + abs(lp.rhs[i])
+        if lp.senses[i] in ("<=", "="):
+            worst = max(worst, (act - lp.rhs[i]) / scale)
+        if lp.senses[i] in (">=", "="):
+            worst = max(worst, (lp.rhs[i] - act) / scale)
+    return worst
 
 
 def scipy_check(lp: LinearProgram):
@@ -205,6 +226,66 @@ def test_bound_flip_path():
     assert sol.values[x] == pytest.approx(3.0)
 
 
+def test_box_without_rows_reaches_either_bound():
+    # x starts at 0, inside [-1, 2], and may move either way
+    for cost, expected in ((1.0, -1.0), (-1.0, 2.0)):
+        lp = LinearProgram()
+        x = lp.add_variable("x", -1.0, 2.0)
+        lp.set_objective({x: cost})
+        sol = solve_lp(lp)
+        assert sol.status == LpStatus.OPTIMAL
+        assert sol.values[x] == expected
+
+
+def test_column_starting_inside_its_box_stays_there_with_zero_reduced_cost():
+    lp = LinearProgram()
+    x = lp.add_variable("x", -1.0, 2.0)
+    y = lp.add_variable("y", 0.0, 3.0)
+    lp.add_constraint({x: 1.0, y: 1.0}, "<=", 10.0)
+    r = lp.add_constraint({y: 1.0}, ">=", 1.0)
+    lp.set_objective({y: 1.0})
+    sol = solve_lp(lp)
+    assert sol.status == LpStatus.OPTIMAL
+    assert sol.values[x] == 0.0  # nonbasic at its start, strictly inside [-1, 2]
+    assert sol.reduced_costs[x] == pytest.approx(0.0, abs=1e-12)
+    assert sol.values[y] == pytest.approx(1.0)
+    # weak duality: the interior column adds nothing to the dual objective
+    assert float(np.dot(sol.dual_values, lp.rhs)) == pytest.approx(sol.objective)
+    assert sol.dual_values[r] == pytest.approx(1.0)
+
+
+def test_ratio_test_passes_over_a_rounding_noise_pivot():
+    # Row 1 is row 0 times 7/9, so once x1 is basic in row 0, x2's entry in
+    # row 1 is 0 in exact arithmetic but about 3e-8 after rounding, against
+    # 2e7 in row 0. Row 1's slack is fixed at 0, so that row has the smallest
+    # ratio (0); x1's row blocks at a ratio of 5e-7, within the Harris slack.
+    # Pivoting on the noise makes the basis singular; the smallest-ratio rule
+    # then stopped at x = 0 and called it optimal.
+    p, big = 9.0, 1.8e8
+    lp = LinearProgram()
+    x1 = lp.add_variable("x1", 0.0, 10.0)
+    x2 = lp.add_variable("x2", 0.0, 10.0)
+    lp.add_constraint({x1: p, x2: -big}, "<=", 0.0)
+    lp.add_constraint({x1: 7.0, x2: -7.0 * big / p}, "=", 0.0)
+    lp.set_objective({x1: -2.0, x2: -1.0})
+    sol = solve_lp(lp)
+    assert sol.status == LpStatus.OPTIMAL
+    assert sol.values[x1] == pytest.approx(10.0)
+    assert sol.values[x2] == pytest.approx(10.0 * p / big, rel=1e-9)
+    assert sol.objective == pytest.approx(-20.0 - 10.0 * p / big, abs=1e-9)
+    assert lp.feasibility_violation(sol.values) <= 1e-9
+
+
+def test_infeasible_needs_a_farkas_certificate(monkeypatch):
+    lp = LinearProgram()
+    x = lp.add_variable("x", 0.0, 1.0)
+    lp.add_constraint({x: 1.0}, ">=", 2.0)
+    assert solve_lp(lp).status == LpStatus.INFEASIBLE
+    monkeypatch.setattr(lp_engine._Simplex, "_farkas_gap", lambda self, y: 0.0)
+    with pytest.raises(NumericalBreakdown, match="Farkas"):
+        solve_lp(lp)
+
+
 def test_duals_and_weak_duality_on_fixed_lp():
     lp = LinearProgram()
     x = lp.add_variable("x", 0.0, 10.0)
@@ -249,6 +330,21 @@ def test_random_battery_against_vertex_enumeration():
             solved += 1
     assert solved > 200  # battery covers plenty of feasible instances
     assert certified > 100  # ... and of infeasible ones
+
+
+def test_feasibility_violation_matches_loop_reference():
+    rng = np.random.default_rng(2024)
+    for trial in range(200):
+        lp = random_lp(rng, int(rng.integers(2, 7)), int(rng.integers(1, 9)), anchor=trial % 2 == 0)
+        lp.add_variable("free", -math.inf, math.inf)
+        lp.add_variable("half", -math.inf, float(rng.integers(-5, 6)))
+        lo, hi = np.array(lp.lower), np.array(lp.upper)
+        span = np.where(np.isinf(lo) | np.isinf(hi), 10.0, hi - lo)
+        centre = np.where(np.isinf(lo), np.where(np.isinf(hi), 0.0, hi), lo)
+        for _ in range(3):
+            x = centre + (rng.random(lp.n_vars) * 1.4 - 0.2) * span
+            # same arithmetic in the same order: the results are equal
+            assert lp.feasibility_violation(x) == feasibility_violation_loop(lp, x), f"trial {trial}"
 
 
 def test_random_battery_against_scipy():
