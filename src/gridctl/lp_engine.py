@@ -29,8 +29,8 @@ _TOL = 1e-7  # optimality and primal feasibility tolerance
 _REFACTOR_EVERY = 150
 _BLAND_TRIGGER = 50  # consecutive degenerate pivots before Bland's rule
 _PIVOT_TOL = 1e-9
-_BOUND_EPS = 1e-9  # bound slack of the Harris ratio test
-_NOISE = 1e-9  # relative size of rounding noise in a Farkas ray
+_BOUND_EPS = 1e-9  # relative bound slack of the Harris ratio test
+_NOISE = 1e-9  # relative size of cancellation noise in y.A
 
 
 class NumericalBreakdown(RuntimeError):
@@ -182,6 +182,11 @@ class _Simplex:
         self.upper = np.concatenate([upper, slack_hi, np.full(n_art, INF)])
         self.c = np.zeros(len(self.x))
         self.c[list(lp.obj)] = list(lp.obj.values())
+        # a slack off its bound by e moves its row by e, which its largest
+        # coefficient turns into a step of e / max|a| in the structurals
+        row_max = abs(a_struct).max(axis=1).toarray().ravel()
+        row_scale = np.where(row_max > 0.0, np.minimum(row_max, 1.0), 1.0)
+        self.harris = _BOUND_EPS * np.concatenate([np.ones(n), row_scale, np.ones(n_art)])
 
         self.basis = n + np.arange(m)
         self.basis[art_rows] = self.total + np.arange(n_art)
@@ -227,27 +232,33 @@ class _Simplex:
                     bland: bool) -> tuple[float, int]:
         """Step length and leaving basis row, -1 when column j flips bounds.
 
-        Harris's two passes. The first finds the largest step that every
-        basic column allows with its bounds relaxed by _BOUND_EPS. The second
-        takes, among the rows that block within that step, the one with the
+        Harris's two passes. A basic column's Harris slack is _BOUND_EPS *
+        (1 + |bound|), and for a row's slack column also the row's largest
+        |coefficient| when that is below 1. The first pass finds the largest
+        step that every basic column allows when its bound is relaxed by its
+        Harris slack, measured from where the column stands, so one already
+        outside its bound gets only what is left of it. The second takes, among
+        the rows whose exact ratio lies within that step, the one with the
         largest |w_r|, or under Bland's rule the lowest basis column, and
-        steps to its exact ratio, so no basic column in the test ends more
-        than _BOUND_EPS outside its bounds. When column j's own distance to its
-        bound in the direction of the move, `limit`, fits in the first
-        pass's step, j flips instead. An infinite step means the direction
-        is a ray.
+        steps to its exact ratio; no basic column in the test then ends
+        further outside its bound than its slack, or than it already was.
+        When column j's own distance to its bound in the direction of the
+        move, `limit`, fits in the first pass's step, j flips instead. An
+        infinite step means the direction is a ray.
         """
         limit = self.upper[j] - self.x[j] if direction > 0 else self.x[j] - self.lower[j]
         step = -direction * w
         rows = np.flatnonzero(np.abs(step) > _PIVOT_TOL)
         bj = self.basis[rows]
         rate = np.abs(step[rows])
-        cap = np.where(step[rows] > 0, self.upper[bj] - self.x[bj], self.x[bj] - self.lower[bj])
-        cap = np.maximum(cap, 0.0)
-        reach = ((cap + _BOUND_EPS) / rate).min(initial=INF)
+        up = step[rows] > 0
+        bound = np.where(up, self.upper[bj], self.lower[bj])
+        cap = np.where(up, bound - self.x[bj], self.x[bj] - bound)
+        slack = self.harris[bj] * (1.0 + np.abs(bound))
+        reach = (np.maximum(cap + slack, 0.0) / rate).min(initial=INF)
         if limit <= reach:
             return limit, -1
-        ratio = cap / rate
+        ratio = np.maximum(cap, 0.0) / rate
         blocking = np.flatnonzero(ratio <= reach)
         pick = blocking[np.argmin(bj[blocking]) if bland else np.argmax(rate[blocking])]
         return float(ratio[pick]), int(rows[pick])
@@ -338,12 +349,12 @@ class _Simplex:
             self._refactor()
             if np.abs(self.x[art]).sum() > _TOL * scale * 10:
                 y = self._duals(art_cost)
-                # zero rounding noise; failing that, keep every entry, or zero
-                # what pricing treated as zero
-                for noise in (_NOISE, 0.0, _TOL):
-                    ray = np.where(np.abs(y) > noise * np.abs(y).max(), y, 0.0)
-                    if self._farkas_gap(ray) > _TOL * scale:
-                        return ray
+                # phase one prices with costs 0 and 1 and counts a reduced cost
+                # within _TOL as zero; row i's slack has reduced cost -y_i, so
+                # the sign of an entry at or below _TOL was never checked
+                ray = np.where(np.abs(y) > _TOL, y, 0.0)
+                if self._farkas_gap(ray) > _TOL * scale:
+                    return ray
             raise NumericalBreakdown("phase one stalled above zero without a Farkas certificate")
         self.upper[art] = 0.0  # pin artificials so phase two cannot revive them
         self.x[art] = np.clip(self.x[art], 0.0, None)
@@ -355,12 +366,11 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
 
     Optimal solutions are certified: the primal point satisfies every row
     within 10*_TOL*(1+|rhs|) and the duals/reduced costs satisfy complementary
-    slackness. Infeasible problems carry a Farkas row ray that passed the
-    interval test before it is returned, with entries at or below 1e-9 of
-    its largest zeroed whenever the certificate holds without them; a
-    phase-one stall without one raises NumericalBreakdown. Unbounded
-    problems carry a primal ray. Duals and rays index the rows of `lp`.
-    Identical inputs give the identical pivot sequence.
+    slackness. Infeasible problems carry a Farkas row ray, with entries at
+    or below _TOL zeroed, that passed the interval test before it is
+    returned; a phase-one stall without one raises NumericalBreakdown.
+    Unbounded problems carry a primal ray. Duals and rays index the rows of
+    `lp`. Identical inputs give the identical pivot sequence.
     """
     spx = _Simplex(lp)
     n = lp.n_vars

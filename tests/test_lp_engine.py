@@ -276,6 +276,94 @@ def test_ratio_test_passes_over_a_rounding_noise_pivot():
     assert lp.feasibility_violation(sol.values) <= 1e-9
 
 
+def test_harris_slack_of_a_row_shrinks_with_its_coefficients():
+    # Row 0 pins x1 = 0 through a coefficient of 1e-3, so its slack, fixed at
+    # 0, would take a 1e-9 bound slack as x1 = 1e-6. With x0 basic in row 1,
+    # x1 enters; x0's row blocks at 3e-7 with |w| = 2e7 and would win the
+    # second pass, putting x0 at 6 and x1 at 3e-7, 3e-10 off row 0, for an
+    # objective of -36. Scaled by the row's largest coefficient the slack
+    # admits only x1 = 1e-9, so row 0 blocks and the optimum is 0 at x = 0.
+    lp = LinearProgram()
+    x0 = lp.add_variable("x0", 0.0, 6.0)
+    x1 = lp.add_variable("x1", 0.0, 6.0)
+    lp.add_constraint({x1: -0.001}, "=", 0.0)
+    lp.add_constraint({x0: -2e-5, x1: 400.0}, "=", 0.0)
+    lp.set_objective({x0: -6.0, x1: 1.0})
+    sol = solve_lp(lp)
+    assert sol.status == LpStatus.OPTIMAL
+    assert sol.objective == pytest.approx(0.0, abs=1e-9)
+    assert np.all(np.abs(sol.values) <= 1e-9)
+
+
+@pytest.mark.parametrize("start", [-0.5e-9, -2e-9])
+def test_ratio_test_does_not_push_a_basic_column_further_outside(start):
+    # Slack s0 is basic 0.5e-9 (inside its Harris slack) or 2e-9 (beyond it)
+    # below its lower bound 0 and falls at rate 1e-3; s1 falls at rate 1 and
+    # reaches 0 at a step of 9e-7. Measured from the bound, s0's slack would
+    # allow a step of 1e-6, s1's larger pivot would win, and s0 would end
+    # 0.9e-9 further out. Measured from where s0 stands, it allows at most
+    # 0.5e-6 (or nothing), so s0 blocks and the step is 0.
+    lp = LinearProgram()
+    x = lp.add_variable("x", 0.0, 10.0)
+    lp.add_constraint({x: 1.0}, "<=", 5.0)
+    lp.add_constraint({x: 1.0}, "<=", 5.0)
+    spx = lp_engine._Simplex(lp)
+    s0, s1 = spx.basis
+    spx.x[s0], spx.x[s1] = start, 9e-7
+    w = np.array([1e-3, 1.0])
+    step, row = spx._ratio_test(x, 1.0, w, bland=False)
+    spx.x[spx.basis] -= step * w
+    assert spx.x[s0] >= min(start, -1e-9)
+    assert (step, row) == (0.0, 0)
+
+
+def test_harris_slack_grows_with_the_bound():
+    # y is basic in row 0, one rounding step (1.5e-8) above its upper bound
+    # 1e8, and rises at rate 1e-8, a rounding-noise entry; slack s1 falls at
+    # rate 1 and reaches 0 at a step of 9e-7. An absolute 1e-9 slack is less
+    # than one rounding step at 1e8, so y's row alone would block and be
+    # pivoted on. Scaled by 1 + |bound| it lets the step reach s1's row.
+    lp = LinearProgram()
+    x = lp.add_variable("x", 0.0, 10.0)
+    y = lp.add_variable("y", 0.0, 1e8)
+    lp.add_constraint({x: 1.0, y: 1.0}, "<=", 2e8)
+    lp.add_constraint({x: 1.0}, "<=", 5.0)
+    spx = lp_engine._Simplex(lp)
+    spx.basis[0] = y
+    spx.x[y], spx.x[spx.basis[1]] = np.nextafter(1e8, math.inf), 9e-7
+    step, row = spx._ratio_test(x, 1.0, np.array([-1e-8, 1.0]), bland=False)
+    assert (step, row) == (pytest.approx(9e-7), 1)
+
+
+def test_farkas_ray_keeps_an_entry_far_below_its_largest():
+    # 7e5 x = 6 needs x > 0, which 5e-5 x <= 0 forbids. The certificate is
+    # y = (1, -1.4e10): its first entry is 7e-11 of the second and is needed.
+    lp = LinearProgram()
+    x = lp.add_variable("x", 0.0, 8.0)
+    lp.add_constraint({x: 7e5}, "=", 6.0)
+    lp.add_constraint({x: 5e-5}, "<=", 0.0)
+    sol = solve_lp(lp)
+    assert sol.status == LpStatus.INFEASIBLE
+    assert sol.ray[0] != 0.0
+    assert farkas_gap(lp, sol.ray, noise=0.0) > 1e-6
+
+
+def test_farkas_ray_drops_an_entry_whose_sign_pricing_cannot_see():
+    # Row 0 alone is infeasible: 7e-5 x0 + 4 x1 <= 4.00007 < 9. Phase one
+    # ends with x0 basic in row 1 and a dual of 7e-9 there, the wrong sign for
+    # a '<=' row; the slack's reduced cost -7e-9 is within the pricing
+    # tolerance, so that entry carries no information and must be dropped.
+    lp = LinearProgram()
+    x0 = lp.add_variable("x0", 0.0, 1.0)
+    x1 = lp.add_variable("x1", 0.0, 1.0)
+    lp.add_constraint({x0: 7e-5, x1: 4.0}, ">=", 9.0)
+    lp.add_constraint({x0: -1e4}, "<=", -9.0)
+    sol = solve_lp(lp)
+    assert sol.status == LpStatus.INFEASIBLE
+    assert sol.ray[1] == 0.0
+    assert farkas_gap(lp, sol.ray, noise=0.0) > 1e-6
+
+
 def test_infeasible_needs_a_farkas_certificate(monkeypatch):
     lp = LinearProgram()
     x = lp.add_variable("x", 0.0, 1.0)
