@@ -12,7 +12,8 @@ without a pivot. Dantzig pricing and a Harris two-pass ratio test pick the
 pivots, with Bland's rule after a degeneracy streak; the pivot sequence is
 deterministic. The basis inverse is kept explicitly with rank-one updates and
 periodic refactorization. An infeasible verdict is returned only with a
-checked Farkas certificate.
+checked Farkas certificate. The working matrix is held as plain numpy arrays
+sorted by column, so the engine needs numpy only.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 INF = math.inf
 
@@ -154,7 +154,8 @@ class _Simplex:
         self.total = n + m  # index of the first artificial column
         self.iterations = 0
         r_idx, c_idx, vals = lp.coefficients()
-        a_struct = sparse.csc_matrix((vals, (r_idx, c_idx)), shape=(m, n))
+        order = np.argsort(c_idx, kind="stable")
+        r_idx, c_idx, vals = r_idx[order], c_idx[order], vals[order]
         self.b = np.array(lp.rhs, dtype=float)
         lower = np.array(lp.lower, dtype=float)
         upper = np.array(lp.upper, dtype=float)
@@ -164,19 +165,19 @@ class _Simplex:
         x = np.clip(0.0, lower, upper)
         slack_lo = np.array([-INF if s == ">=" else 0.0 for s in lp.senses])
         slack_hi = np.array([INF if s == "<=" else 0.0 for s in lp.senses])
-        resid = self.b - a_struct @ x
+        resid = self.b - np.bincount(r_idx, weights=vals * x[c_idx], minlength=m)
         slack = np.clip(resid, slack_lo, slack_hi)
         fits = (slack_lo - 1e-12 <= resid) & (resid <= slack_hi + 1e-12)
         art_rows = np.flatnonzero(~fits)
         n_art = art_rows.size
         signs = np.where(resid[art_rows] >= slack[art_rows], 1.0, -1.0)
 
-        self.A = sparse.hstack([
-            a_struct,
-            sparse.identity(m, format="csc"),
-            sparse.csc_matrix((signs, (art_rows, np.arange(n_art))), shape=(m, n_art)),
-        ], format="csc")
-        self.AT = self.A.T.tocsr()
+        # A | I | D as the row, column and value of each entry, sorted by
+        # column; column j's entries are start[j]:start[j + 1]
+        self.row_of = np.concatenate([r_idx, np.arange(m), art_rows])
+        self.col_of = np.concatenate([c_idx, n + np.arange(m), self.total + np.arange(n_art)])
+        self.val = np.concatenate([vals, np.ones(m), signs])
+        self.start = np.searchsorted(self.col_of, np.arange(self.total + n_art + 1))
         self.x = np.concatenate([x, slack, np.zeros(n_art)])
         self.lower = np.concatenate([lower, slack_lo, np.zeros(n_art)])
         self.upper = np.concatenate([upper, slack_hi, np.full(n_art, INF)])
@@ -184,7 +185,8 @@ class _Simplex:
         self.c[list(lp.obj)] = list(lp.obj.values())
         # a slack off its bound by e moves its row by e, which its largest
         # coefficient turns into a step of e / max|a| in the structurals
-        row_max = abs(a_struct).max(axis=1).toarray().ravel()
+        row_max = np.zeros(m)
+        np.maximum.at(row_max, r_idx, np.abs(vals))
         row_scale = np.where(row_max > 0.0, np.minimum(row_max, 1.0), 1.0)
         self.harris = _BOUND_EPS * np.concatenate([np.ones(n), row_scale, np.ones(n_art)])
 
@@ -196,37 +198,49 @@ class _Simplex:
         self.max_iter = 2000 + 50 * (m + self.total)
         self._refactor()
 
+    def _price(self, y: np.ndarray) -> np.ndarray:
+        """y.A over all columns."""
+        return np.bincount(self.col_of, weights=self.val * y[self.row_of], minlength=len(self.x))
+
     def _ftran(self, j: int) -> np.ndarray:
         """B^-1 column j, using column sparsity."""
-        lo, hi = self.A.indptr[j], self.A.indptr[j + 1]
-        return self.b_inv[:, self.A.indices[lo:hi]] @ self.A.data[lo:hi]
+        lo, hi = self.start[j], self.start[j + 1]
+        return self.b_inv[:, self.row_of[lo:hi]] @ self.val[lo:hi]
 
     def _refactor(self) -> None:
+        # scatter each basic column's entries into its basis position of B
+        m = len(self.b)
+        pos = np.full(len(self.x), -1)
+        pos[self.basis] = np.arange(m)
+        k = pos[self.col_of]
+        basic = k >= 0
+        dense = np.zeros((m, m))
+        dense[self.row_of[basic], k[basic]] = self.val[basic]
         try:
-            self.b_inv = np.linalg.inv(self.A[:, self.basis].toarray())
+            self.b_inv = np.linalg.inv(dense)
         except np.linalg.LinAlgError:
             raise NumericalBreakdown("singular basis") from None
         # recompute basic values from the nonbasic point
         x_nb = np.where(self.in_basis, 0.0, self.x)
-        self.x[self.basis] = self.b_inv @ (self.b - self.A @ x_nb)
+        a_x = np.bincount(self.row_of, weights=self.val * x_nb[self.col_of], minlength=m)
+        self.x[self.basis] = self.b_inv @ (self.b - a_x)
 
     def _duals(self, cost: np.ndarray) -> np.ndarray:
         return cost[self.basis] @ self.b_inv
 
     def _entering(self, d: np.ndarray, bland: bool) -> tuple[int, float] | None:
-        can_up = self.rise & (d < -_TOL)
-        can_dn = self.fall & (d > _TOL)
+        # how fast the objective falls per unit move in an allowed direction
+        score = np.maximum(-d * self.rise, d * self.fall)
         if bland:
-            idx = np.flatnonzero(can_up | can_dn)
+            idx = np.flatnonzero(score > _TOL)
             if idx.size == 0:
                 return None
             j = int(idx[0])
-            return j, 1.0 if can_up[j] else -1.0
-        score = np.where(can_up, -d, np.where(can_dn, d, 0.0))
-        j = int(np.argmax(score))
-        if score[j] <= _TOL:
-            return None
-        return j, 1.0 if can_up[j] else -1.0
+        else:
+            j = int(np.argmax(score))
+            if score[j] <= _TOL:
+                return None
+        return j, 1.0 if d[j] < 0.0 else -1.0
 
     def _ratio_test(self, j: int, direction: float, w: np.ndarray,
                     bland: bool) -> tuple[float, int]:
@@ -247,21 +261,22 @@ class _Simplex:
         infinite step means the direction is a ray.
         """
         limit = self.upper[j] - self.x[j] if direction > 0 else self.x[j] - self.lower[j]
-        step = -direction * w
-        rows = np.flatnonzero(np.abs(step) > _PIVOT_TOL)
-        bj = self.basis[rows]
-        rate = np.abs(step[rows])
-        up = step[rows] > 0
+        rate = np.abs(w)
+        live = rate > _PIVOT_TOL
+        up = direction * w < 0.0
+        bj = self.basis
+        xb = self.x[bj]
         bound = np.where(up, self.upper[bj], self.lower[bj])
-        cap = np.where(up, bound - self.x[bj], self.x[bj] - bound)
+        cap = np.where(up, bound - xb, xb - bound)
         slack = self.harris[bj] * (1.0 + np.abs(bound))
-        reach = (np.maximum(cap + slack, 0.0) / rate).min(initial=INF)
+        room = np.divide(np.maximum(cap + slack, 0.0), rate, out=np.full(len(w), INF), where=live)
+        reach = room.min(initial=INF)
         if limit <= reach:
             return limit, -1
-        ratio = np.maximum(cap, 0.0) / rate
+        ratio = np.divide(np.maximum(cap, 0.0), rate, out=np.full(len(w), INF), where=live)
         blocking = np.flatnonzero(ratio <= reach)
         pick = blocking[np.argmin(bj[blocking]) if bland else np.argmax(rate[blocking])]
-        return float(ratio[pick]), int(rows[pick])
+        return float(ratio[pick]), int(pick)
 
     def _pivot(self, j: int, r: int, w: np.ndarray) -> None:
         """Column j replaces basis row r; the leaving column snaps to a bound."""
@@ -281,7 +296,11 @@ class _Simplex:
 
         self.b_inv[r] /= w[r]
         row = self.b_inv[r].copy()
-        self.b_inv -= np.outer(w, row)
+        moved = np.flatnonzero(w)  # a row with w = 0 keeps its values
+        if 2 * moved.size < len(w):  # below about half, the gather and scatter pay
+            self.b_inv[moved] -= np.outer(w[moved], row)
+        else:
+            self.b_inv -= np.outer(w, row)
         self.b_inv[r] = row
 
     def run(self, cost: np.ndarray) -> str:
@@ -291,7 +310,7 @@ class _Simplex:
             if self.iterations >= self.max_iter:
                 raise NumericalBreakdown(f"iteration limit {self.max_iter} exceeded")
             y = self._duals(cost)
-            d = cost - self.AT @ y
+            d = cost - self._price(y)
             bland = degenerate_streak >= _BLAND_TRIGGER
             pick = self._entering(d, bland)
             if pick is None:
@@ -323,8 +342,10 @@ class _Simplex:
         of the structural and slack columns; a positive gap proves the rows
         infeasible. An entry of y.A at or below _NOISE of the sum of the
         magnitudes of its terms is cancellation noise and counts as zero."""
-        w = (self.AT @ y)[:self.total]
-        w[np.abs(w) <= _NOISE * (abs(self.AT) @ np.abs(y))[:self.total]] = 0.0
+        terms = self.val * y[self.row_of]
+        w = np.bincount(self.col_of, weights=terms, minlength=len(self.x))[:self.total]
+        size = np.bincount(self.col_of, weights=np.abs(terms), minlength=len(self.x))
+        w[np.abs(w) <= _NOISE * size[:self.total]] = 0.0
         on = np.flatnonzero(w)
         at_lo, at_hi = w[on] * self.lower[on], w[on] * self.upper[on]
         yb = float(y @ self.b)
@@ -395,7 +416,7 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
             raise NumericalBreakdown(f"primal residual {violation:.2e} above tolerance")
 
     y = spx._duals(spx.c)
-    d = spx.c - spx.AT @ y
+    d = spx.c - spx._price(y)
     x = spx.x[:n].copy()
     return LpSolution(
         LpStatus.OPTIMAL,

@@ -237,6 +237,36 @@ def test_box_without_rows_reaches_either_bound():
         assert sol.values[x] == expected
 
 
+def test_empty_rows_and_a_column_in_no_row():
+    # The last variable has no entry in any row, so its column is empty in
+    # the column-sorted store; two rows have no structural entry, so only
+    # their slacks reach them and every row sum needs its full length.
+    lp = LinearProgram()
+    x = lp.add_variable("x", 0.0, 5.0)
+    y = lp.add_variable("y", 0.0, 5.0)
+    z = lp.add_variable("z", 0.0, 4.0)
+    lp.add_constraint({x: 1.0, y: 1.0}, ">=", 2.0)
+    empty_le = lp.add_constraint({}, "<=", 3.0)
+    empty_eq = lp.add_constraint({}, "=", 0.0)
+    lp.add_constraint({y: 1.0, x: -1.0}, "<=", 1.0)
+    lp.set_objective({x: 1.0, y: 2.0, z: -1.0})
+    sol = solve_lp(lp)
+    assert sol.status == LpStatus.OPTIMAL
+    assert sol.objective == pytest.approx(-2.0)
+    assert sol.values == pytest.approx([2.0, 0.0, 4.0])
+    assert sol.reduced_costs[z] == pytest.approx(-1.0)
+    assert sol.dual_values[empty_le] == sol.dual_values[empty_eq] == 0.0
+
+
+def test_empty_row_that_cannot_hold_is_infeasible():
+    lp = LinearProgram()
+    lp.add_variable("x", 0.0, 1.0)
+    lp.add_constraint({}, ">=", 1.0)
+    sol = solve_lp(lp)
+    assert sol.status == LpStatus.INFEASIBLE
+    assert farkas_gap(lp, sol.ray, noise=0.0) > 1e-6
+
+
 def test_column_starting_inside_its_box_stays_there_with_zero_reduced_cost():
     lp = LinearProgram()
     x = lp.add_variable("x", -1.0, 2.0)

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
 import math
+import os
 import random
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -486,3 +490,22 @@ def _block_feasible(grid, flow, block, tol):
     sub_grid = PowerGrid(buses, sub_branches, {}, {})
     sub_flow = Flow(sub_grid, sub_values)
     return check_electrical_feasibility(sub_grid, sub_flow, buses, tol=tol).feasible
+
+
+def test_package_loads_numpy_only():
+    # Importing scipy costs about as much start-up as numpy itself, so no
+    # gridctl module and no solve may pull it in.
+    script = textwrap.dedent("""
+        import importlib, pkgutil, sys, warnings
+        import gridctl
+        for module in pkgutil.iter_modules(gridctl.__path__):
+            importlib.import_module("gridctl." + module.name)
+        from gridctl.power_flow_models import electrical_model, solve_model
+        warnings.simplefilter("ignore")
+        solve_model(gridctl.load_case("case9"), electrical_model(), 1.0)
+        print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+    """)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(case_io.__file__)))
+    done = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert done.stdout.strip() == "[]"
