@@ -6,7 +6,11 @@ are free), rows become equalities via one slack column each, and an
 infeasible starting point is repaired by a phase-one minimization over
 artificial columns. Every structural column starts at the point of its box
 nearest zero, so only rows with a nonzero right-hand side can need an
-artificial. A nonbasic column strictly inside its box may move either way and
+artificial. Before phase one a triangular crash hands the basis place of
+each equality row whose residual there is zero to a structural column
+strictly inside its box where it can, so the free angles and the flows at 0
+are basic from the start rather than pivoted in one degenerate step at a
+time. A nonbasic column strictly inside its box may move either way and
 is priced like a free column; one that reaches its opposite bound flips there
 without a pivot. Dantzig pricing and a Harris two-pass ratio test pick the
 pivots, with Bland's rule after a degeneracy streak; the pivot sequence is
@@ -18,6 +22,7 @@ sorted by column, so the engine needs numpy only.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -31,6 +36,7 @@ _BLAND_TRIGGER = 50  # consecutive degenerate pivots before Bland's rule
 _PIVOT_TOL = 1e-9
 _BOUND_EPS = 1e-9  # relative bound slack of the Harris ratio test
 _NOISE = 1e-9  # relative size of cancellation noise in y.A
+_CRASH_PIVOT = 0.1  # least |a| of a crash entry, relative to its column's largest
 
 
 class NumericalBreakdown(RuntimeError):
@@ -137,6 +143,64 @@ class LpSolution:
     iterations: int = 0
 
 
+def _crash(r_idx: np.ndarray, c_idx: np.ndarray, vals: np.ndarray, rows: np.ndarray,
+           cols: np.ndarray, free: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and columns of a lower-triangular starting block, in crash order.
+
+    `rows` marks the rows that may give their basis place to a column, `cols`
+    the columns that may take one, and `free` the columns without bounds; the
+    entries are sorted by column. Entry a_rj qualifies when |a_rj| is at
+    least _CRASH_PIVOT of its column's largest |a_ij|. The row with the fewest
+    qualifying columns left is served first; it takes a free column before a
+    boxed one, then the column with the fewest entries, then the lowest index.
+    Serving a row puts every column with an entry in it out of play, so no
+    column taken later has an entry in an earlier row: the block is lower
+    triangular with a nonzero diagonal, hence nonsingular.
+    """
+    n, m = len(cols), len(rows)
+    mag = np.abs(vals)
+    col_max = np.zeros(n)
+    np.maximum.at(col_max, c_idx, mag)
+    live = rows[r_idx] & cols[c_idx]
+    r_live, c_live = r_idx[live], c_idx[live]
+    ok = mag[live] >= _CRASH_PIVOT * col_max[c_live]
+    # CSR-style lists: the live columns of each row, each row's qualifying
+    # columns in the order it prefers them, and the rows each column
+    # qualifies in (the entries come sorted by column)
+    by_row = np.argsort(r_live, kind="stable")
+    in_row = c_live[by_row].tolist()
+    in_row_at = np.searchsorted(r_live[by_row], np.arange(m + 1)).tolist()
+    r_ok, c_ok = r_live[ok], c_live[ok]
+    pref = np.lexsort((c_ok, np.bincount(c_idx, minlength=n)[c_ok], ~free[c_ok], r_ok))
+    options = c_ok[pref].tolist()
+    options_at = np.searchsorted(r_ok[pref], np.arange(m + 1)).tolist()
+    rows_of = r_ok.tolist()
+    rows_of_at = np.searchsorted(c_ok, np.arange(n + 1)).tolist()
+
+    left = np.diff(options_at).tolist()
+    queue = [(k, r) for r, k in enumerate(left) if k]
+    heapq.heapify(queue)
+    out = bytearray(n)
+    crash_rows, crash_cols = [], []
+    while queue:
+        k, r = heapq.heappop(queue)
+        if k != left[r]:  # stale entry, or the row is served
+            continue
+        crash_rows.append(r)
+        crash_cols.append(next(j for j in options[options_at[r]:options_at[r + 1]] if not out[j]))
+        left[r] = 0
+        for j in in_row[in_row_at[r]:in_row_at[r + 1]]:
+            if out[j]:
+                continue
+            out[j] = 1
+            for i in rows_of[rows_of_at[j]:rows_of_at[j + 1]]:
+                if left[i]:
+                    left[i] -= 1
+                    if left[i]:
+                        heapq.heappush(queue, (left[i], i))
+    return np.array(crash_rows, dtype=np.int64), np.array(crash_cols, dtype=np.int64)
+
+
 class _Simplex:
     """Equality-form working problem A x + I s + D a = b over the rows of
     `lp`. Columns are structural | slack | artificial. Each structural column
@@ -144,7 +208,12 @@ class _Simplex:
     flows, angles and cost segments start at 0. Each row whose slack cannot
     absorb its residual at that point gets an artificial column, a signed
     unit column in [0, inf) that starts basic; artificials never enter the
-    basis. `rise` and `fall` mark the nonbasic columns that may move up or
+    basis. Every other row starts with its slack basic, except where `_crash`
+    gives an equality row that its slack satisfies at residual 0 a
+    structural column strictly inside its box: a free angle or a flow at 0.
+    The crashed columns form a lower-triangular block, so the starting basis
+    is nonsingular, and they stand at 0 as before, so the starting point is
+    the same. `rise` and `fall` mark the nonbasic columns that may move up or
     down from where they stand; only the entering, leaving and bound-flipped
     columns change them.
     """
@@ -192,7 +261,13 @@ class _Simplex:
 
         self.basis = n + np.arange(m)
         self.basis[art_rows] = self.total + np.arange(n_art)
-        self.in_basis = np.isin(np.arange(len(self.x)), self.basis)
+        crash_rows, crash_cols = _crash(r_idx, c_idx, vals,
+                                        (slack_lo == slack_hi) & (resid == 0.0),
+                                        (lower < x) & (x < upper),
+                                        np.isinf(lower) & np.isinf(upper))
+        self.basis[crash_rows] = crash_cols
+        self.in_basis = np.zeros(len(self.x), dtype=bool)
+        self.in_basis[self.basis] = True
         self.rise = ~self.in_basis & (self.x < self.upper)
         self.fall = ~self.in_basis & (self.x > self.lower)
         self.max_iter = 2000 + 50 * (m + self.total)

@@ -3,11 +3,14 @@ from __future__ import annotations
 import math
 from functools import cache
 
+import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from gridctl import load_case
 from gridctl.graph_algorithms import Multigraph, TargetClass, min_feedback_set
 from gridctl.grid_model import Branch, Generator, PowerGrid
+from gridctl.lp_engine import LinearProgram
 from gridctl.pwl import PiecewiseLinearConvex, constant_zero
 
 ALL_CASES = ["case6ww", "case9", "case14", "case30", "case39", "case57", "case118"]
@@ -61,3 +64,29 @@ def triangle_grid(b=(100.0, 100.0, 100.0), caps=(math.inf, math.inf, math.inf)) 
         generators={1: Generator(50.0, linear_cost(2.0, 50.0))},
         consumers={2: 10.0},
     )
+
+
+def scipy_check(lp: LinearProgram):
+    """HiGHS's result for `lp`: status 0 optimal, 2 infeasible, 3 unbounded."""
+    c = np.zeros(lp.n_vars)
+    for j, a in lp.obj.items():
+        c[j] = a
+    a_ub, b_ub, a_eq, b_eq = [], [], [], []
+    for i, row in enumerate(lp.rows):
+        coeffs = np.zeros(lp.n_vars)
+        for j, a in row.items():
+            coeffs[j] = a
+        if lp.senses[i] == "<=":
+            a_ub.append(coeffs)
+            b_ub.append(lp.rhs[i])
+        elif lp.senses[i] == ">=":
+            a_ub.append(-coeffs)
+            b_ub.append(-lp.rhs[i])
+        else:
+            a_eq.append(coeffs)
+            b_eq.append(lp.rhs[i])
+    res = linprog(
+        c, A_ub=np.array(a_ub) if a_ub else None, b_ub=b_ub or None,
+        A_eq=np.array(a_eq) if a_eq else None, b_eq=b_eq or None,
+        bounds=list(zip(lp.lower, lp.upper)), method="highs")
+    return res

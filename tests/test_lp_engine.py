@@ -2,16 +2,16 @@ from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.optimize import linprog as scipy_linprog
 
 from gridctl import lp_engine
 from gridctl.lp_engine import LinearProgram, LpStatus, NumericalBreakdown, solve_lp
 from gridctl.power_flow_models import build_lp, electrical_model, flow_model
 
-from conftest import get_case
+from conftest import get_case, scipy_check
 
 
 # -- oracles -------------------------------------------------------------------
@@ -79,31 +79,6 @@ def feasibility_violation_loop(lp: LinearProgram, x) -> float:
     return worst
 
 
-def scipy_check(lp: LinearProgram):
-    c = np.zeros(lp.n_vars)
-    for j, a in lp.obj.items():
-        c[j] = a
-    a_ub, b_ub, a_eq, b_eq = [], [], [], []
-    for i, row in enumerate(lp.rows):
-        coeffs = np.zeros(lp.n_vars)
-        for j, a in row.items():
-            coeffs[j] = a
-        if lp.senses[i] == "<=":
-            a_ub.append(coeffs)
-            b_ub.append(lp.rhs[i])
-        elif lp.senses[i] == ">=":
-            a_ub.append(-coeffs)
-            b_ub.append(-lp.rhs[i])
-        else:
-            a_eq.append(coeffs)
-            b_eq.append(lp.rhs[i])
-    res = scipy_linprog(
-        c, A_ub=np.array(a_ub) if a_ub else None, b_ub=b_ub or None,
-        A_eq=np.array(a_eq) if a_eq else None, b_eq=b_eq or None,
-        bounds=list(zip(lp.lower, lp.upper)), method="highs")
-    return res
-
-
 def random_lp(rng: np.random.Generator, n_vars: int, n_rows: int,
               anchor: bool = False) -> LinearProgram:
     """Random bounded LP; `anchor` builds the rhs around a feasible point."""
@@ -159,6 +134,33 @@ def raw_ray_certifies(lp: LinearProgram, y: np.ndarray) -> bool:
     (0, 1e-9 of the largest], the rounding noise the solver must zero."""
     noise = (y != 0) & (np.abs(y) <= 1e-9 * np.abs(y).max())
     return farkas_gap(lp, y, noise=0.0) > 1e-6 and not np.any(noise)
+
+
+def exact_ray_certifies(lp: LinearProgram, y: np.ndarray) -> bool:
+    """y carries no rounding-noise entry and, with each entry replaced by the
+    nearest fraction whose denominator is at most 1e6, proves the rows
+    infeasible in exact arithmetic. With a free column in a row of the ray,
+    y.A in floating point is often a rounding step off 0 there, which opens
+    its side of the interval to infinity; the data of these LPs are
+    integers, so the certificate y approximates has small denominators."""
+    if np.any((y != 0) & (np.abs(y) <= 1e-9 * np.abs(y).max())):
+        return False
+    q = [Fraction(float(v)).limit_denominator(10**6) for v in y]
+    w = [Fraction(0)] * lp.n_vars
+    for i, row in enumerate(lp.rows):
+        for j, a in row.items():
+            w[j] += q[i] * Fraction(a)
+    slack_range = {"<=": (0.0, math.inf), ">=": (-math.inf, 0.0), "=": (0.0, 0.0)}
+    terms = [(w[j], lp.lower[j], lp.upper[j]) for j in range(lp.n_vars)]
+    terms += [(q[i], *slack_range[sense]) for i, sense in enumerate(lp.senses)]
+    lo, hi = [Fraction(0)], [Fraction(0)]
+    for k, *ends in terms:
+        if k != 0:
+            low, high = sorted(ends, key=lambda b: k * b)
+            lo.append(-math.inf if math.isinf(low) else k * Fraction(low))
+            hi.append(math.inf if math.isinf(high) else k * Fraction(high))
+    yb = sum(qi * Fraction(b) for qi, b in zip(q, lp.rhs))
+    return sum(lo) > yb or yb > sum(hi)
 
 
 # -- small deterministic cases ---------------------------------------------------
@@ -499,6 +501,168 @@ def test_weak_duality_on_random_optima():
         assert sol.objective == pytest.approx(dual, abs=1e-5 * (1 + abs(sol.objective)))
         checked += 1
     assert checked > 20
+
+
+# -- the triangular crash basis ------------------------------------------------------
+
+def record_crashes(monkeypatch) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The rows and columns each _Simplex crash returns, in crash order."""
+    seen = []
+    crash = lp_engine._crash
+
+    def spy(*args):
+        seen.append(crash(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(lp_engine, "_crash", spy)
+    return seen
+
+
+def test_crash_gives_every_coupling_row_a_structural_column():
+    # At lambda = 1 there are no loss rows to take the flows first. The gauge
+    # row theta = 0 keeps its slack: its entry 1 is below 0.1 of the largest
+    # susceptance in that angle's column.
+    lp, vmap = build_lp(get_case("case14"), electrical_model(), 1.0)
+    spx = lp_engine._Simplex(lp)
+    assert all(spx.basis[row] < lp.n_vars for row in vmap.coupling_row.values())
+    angles = set(vmap.theta_var.values())
+    (gauge,) = [i for i, row in enumerate(lp.rows) if set(row) <= angles]
+    (theta,) = lp.rows[gauge]
+    assert lp.rows[gauge][theta] < 0.1 * max(abs(row.get(theta, 0.0)) for row in lp.rows)
+    assert spx.basis[gauge] == lp.n_vars + gauge
+
+
+@pytest.mark.parametrize("case, kind, lam", [("case14", "electrical", 0.5),
+                                             ("case30", "flow", 0.0),
+                                             ("case118", "electrical", 0.5)])
+def test_crash_block_is_triangular_and_maximal(monkeypatch, case, kind, lam):
+    model = electrical_model() if kind == "electrical" else flow_model()
+    lp, _vmap = build_lp(get_case(case), model, lam)
+    crashes = record_crashes(monkeypatch)
+    spx = lp_engine._Simplex(lp)
+    (rows, cols), = crashes
+    rows, cols = rows.tolist(), cols.tolist()
+    assert len(rows) > 0 and np.array_equal(spx.basis[rows], cols)
+
+    x = np.clip(0.0, lp.lower, lp.upper)  # the start: each column's point nearest zero
+    eligible = [i for i, (row, sense, b) in enumerate(zip(lp.rows, lp.senses, lp.rhs))
+                if sense == "=" and b == sum(a * x[j] for j, a in row.items())]
+    interior = {j for j in range(lp.n_vars) if lp.lower[j] < x[j] < lp.upper[j]}
+    col_max = np.zeros(lp.n_vars)
+    for row in lp.rows:
+        for j, a in row.items():
+            col_max[j] = max(col_max[j], abs(a))
+    assert set(rows) <= set(eligible) and set(cols) <= interior
+    # in crash order, no column has an entry in an earlier row, and each
+    # diagonal entry is at least 0.1 of its column's largest
+    for k, (r, j) in enumerate(zip(rows, cols)):
+        assert not set(cols[k + 1:]) & set(lp.rows[r])
+        assert abs(lp.rows[r][j]) >= 0.1 * col_max[j]
+    # maximal: a row left out has no qualifying column without an entry in
+    # a crashed row
+    taken = {j for r in rows for j in lp.rows[r]}
+    for i in set(eligible) - set(rows):
+        assert not [j for j, a in lp.rows[i].items()
+                    if j in interior and j not in taken and abs(a) >= 0.1 * col_max[j]]
+
+
+def test_crash_keeps_the_starting_point(monkeypatch):
+    lp, _vmap = build_lp(get_case("case14"), electrical_model(), 0.5)
+    crashed = lp_engine._Simplex(lp)
+    monkeypatch.setattr(lp_engine, "_crash", lambda *args: (np.zeros(0, int), np.zeros(0, int)))
+    plain = lp_engine._Simplex(lp)
+    assert not np.array_equal(crashed.basis, plain.basis)
+    assert np.array_equal(crashed.x, plain.x)
+
+
+def test_crash_takes_only_zero_residual_equality_rows_and_interior_columns():
+    lp = LinearProgram()
+    free = lp.add_variable("free", -math.inf, math.inf)
+    boxed = lp.add_variable("boxed", -1.0, 2.0)
+    inner = lp.add_variable("inner", -1.0, 1.0)
+    at_lower = lp.add_variable("at_lower", 0.0, 5.0)
+    at_upper = lp.add_variable("at_upper", -3.0, 0.0)
+    fixed = lp.add_variable("fixed", 0.0, 0.0)
+    # the free column wins, though the boxed one has fewer entries
+    pick = lp.add_constraint({free: 1.0, boxed: 2.0}, "=", 0.0)
+    inequality = lp.add_constraint({free: 1.0, inner: 1.0}, "<=", 0.0)
+    residual = lp.add_constraint({inner: 1.0}, "=", 0.5)
+    bounds = lp.add_constraint({at_lower: 1.0, at_upper: 1.0, fixed: 1.0}, "=", 0.0)
+    lp.set_objective({boxed: 1.0, inner: -1.0, at_lower: 1.0, at_upper: -1.0})
+    spx = lp_engine._Simplex(lp)
+    n = lp.n_vars
+    assert spx.basis[pick] == free
+    assert spx.basis[inequality] == n + inequality
+    assert spx.basis[residual] >= spx.total  # an artificial
+    assert spx.basis[bounds] == n + bounds
+    sol, ref = solve_lp(lp), scipy_check(lp)
+    assert sol.status == LpStatus.OPTIMAL and ref.status == 0
+    assert sol.objective == pytest.approx(ref.fun, abs=1e-9)
+
+
+def test_crash_serves_the_row_with_fewest_candidates_first():
+    # Served first, row 0 would put a and b out of play, as both have an
+    # entry in it, and leave row 1 with nothing. Row 1 has one candidate, so
+    # it goes first and takes b, and row 0 then takes a.
+    lp = LinearProgram()
+    a = lp.add_variable("a", -1.0, 1.0)
+    b = lp.add_variable("b", -1.0, 1.0)
+    lp.add_constraint({a: 1.0, b: 1.0}, "=", 0.0)
+    lp.add_constraint({b: 1.0}, "=", 0.0)
+    spx = lp_engine._Simplex(lp)
+    assert spx.basis[:2].tolist() == [a, b]
+
+
+def crash_lp(rng: np.random.Generator) -> LinearProgram:
+    """Random LP with free, interior, at-bound and fixed columns, about half
+    of whose rows are equalities with a zero right-hand side."""
+    lp = LinearProgram()
+    n = int(rng.integers(2, 8))
+    for j in range(n):
+        kind = int(rng.integers(0, 4))
+        if kind == 0:
+            lo, hi = -math.inf, math.inf
+        elif kind == 1:
+            lo, hi = -float(rng.integers(1, 10)), float(rng.integers(1, 10))
+        elif kind == 2:
+            lo, hi = 0.0, float(rng.integers(0, 10))  # at a bound, fixed at 0 when hi = 0
+        else:
+            lo = float(rng.integers(-10, 1))
+            hi = lo + float(rng.integers(0, 15))
+        lp.add_variable(f"v{j}", lo, hi)
+    for _ in range(int(rng.integers(1, 9))):
+        k = int(rng.integers(1, min(4, n) + 1))
+        coeffs = {int(j): float(rng.integers(-5, 6)) for j in rng.choice(n, size=k, replace=False)}
+        coeffs = {j: a for j, a in coeffs.items() if a}
+        if not coeffs:
+            continue
+        if rng.random() < 0.5:
+            lp.add_constraint(coeffs, "=", 0.0)
+        else:
+            lp.add_constraint(coeffs, ["<=", ">=", "="][int(rng.integers(0, 3))],
+                              float(rng.integers(-15, 16)))
+    lp.set_objective({j: float(rng.integers(-9, 10)) for j in range(n)})
+    return lp
+
+
+def test_random_battery_where_the_crash_fires(monkeypatch):
+    rng = np.random.default_rng(31337)
+    crashes = record_crashes(monkeypatch)
+    fired = infeasible = 0
+    statuses = {0: LpStatus.OPTIMAL, 2: LpStatus.INFEASIBLE, 3: LpStatus.UNBOUNDED}
+    for trial in range(400):
+        lp = crash_lp(rng)
+        sol = solve_lp(lp)
+        ref = scipy_check(lp)
+        fired += len(crashes[-1][0]) > 0
+        assert sol.status == statuses[ref.status], f"trial {trial}"
+        if sol.status == LpStatus.OPTIMAL:
+            assert sol.objective == pytest.approx(ref.fun, abs=1e-6), f"trial {trial}"
+            assert lp.feasibility_violation(sol.values) <= 1e-7, f"trial {trial}"
+        elif sol.status == LpStatus.INFEASIBLE:
+            assert exact_ray_certifies(lp, sol.ray), f"trial {trial}"
+            infeasible += 1
+    assert fired >= 250 and infeasible >= 150
 
 
 # -- KKT conditions on the power-flow LPs ------------------------------------------

@@ -12,6 +12,7 @@ import pytest
 
 from gridctl.grid_model import (Branch, ControlSet, Flow, Generator, PowerGrid,
                                 check_feasible, flow_cost, net_outflow)
+from gridctl.lp_engine import LpStatus, solve_lp
 from gridctl.power_flow_models import (AngleCheck, CycleEdge, InfeasibleModel,
                                        ModelKind, NotACactus, NotACycle,
                                        build_lp, cactus_equivalent_flow,
@@ -22,7 +23,7 @@ from gridctl.pwl import constant_zero
 from gridctl import case_io
 
 from conftest import (ALL_CASES, forest_feedback_set, get_case, linear_cost,
-                      triangle_grid, two_bus_grid)
+                      scipy_check, triangle_grid, two_bus_grid)
 from dcopf_oracle import dcopf_generation_cost
 
 # frozen output of the scipy/HiGHS B-theta oracle (tests/dcopf_oracle.py)
@@ -182,6 +183,21 @@ def test_lp_shape_of_the_segment_layout(name, lam):
             assert not segment_cols & seen
             seen |= segment_cols
         assert seen == set(range(lp.n_vars)) - structural
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("name", ALL_CASES)
+def test_bundled_lps_match_highs(name, lam):
+    # the in-house simplex against HiGHS on every bundled dispatch LP
+    grid = get_case(name)
+    highs_status = {0: LpStatus.OPTIMAL, 2: LpStatus.INFEASIBLE, 3: LpStatus.UNBOUNDED}
+    for kind in (flow_model(), electrical_model(), hybrid_model(grid.buses[::5])):
+        lp, _vmap = build_lp(grid, kind, lam)
+        sol = solve_lp(lp)
+        ref = scipy_check(lp)
+        assert sol.status == highs_status[ref.status], kind.name
+        if ref.status == 0:
+            assert sol.objective == pytest.approx(ref.fun + lp.obj_constant, rel=1e-7), kind.name
 
 
 # -- electrical feasibility of fixed flows ------------------------------------
