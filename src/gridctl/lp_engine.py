@@ -5,17 +5,19 @@ bounds (signed branch flows live in [-c, c], cost segments in [0, w], angles
 are free), rows become equalities via one slack column each, and an
 infeasible starting point is repaired by a phase-one minimization over
 artificial columns. Every structural column starts at the point of its box
-nearest zero, so only rows with a nonzero right-hand side can need an
-artificial. Before phase one a triangular crash hands the basis place of
-each equality row whose residual there is zero to a structural column
-strictly inside its box where it can, so the free angles and the flows at 0
-are basic from the start rather than pivoted in one degenerate step at a
-time. A nonbasic column strictly inside its box may move either way and
-is priced like a free column; one that reaches its opposite bound flips there
-without a pivot. Dantzig pricing and a Harris two-pass ratio test pick the
-pivots, with Bland's rule after a degeneracy streak; the pivot sequence is
-deterministic. The basis inverse is kept explicitly with rank-one updates and
-periodic refactorization. An infeasible verdict is returned only with a
+nearest zero. A triangular crash then serves the equality rows one at a
+time: a column with room in its box moves to take the row's residual and
+becomes basic there, or, when its box is too small, stops at a bound and
+leaves the rest to the row's next column, so demand is routed along the
+flows and a generator's segments fill cheapest first. No move takes an
+inequality row out of its slack's range, or further out. Only the rows the
+crash cannot serve, and whose slack cannot hold their residual, need an
+artificial. A nonbasic column strictly inside its box may move either way
+and is priced like a free column; one that reaches its opposite bound flips
+there without a pivot. Dantzig pricing and a Harris two-pass ratio test pick
+the pivots, with Bland's rule after a degeneracy streak; the pivot sequence
+is deterministic. The basis inverse is kept explicitly with rank-one updates
+and periodic refactorization. An infeasible verdict is returned only with a
 checked Farkas certificate. The working matrix is held as plain numpy arrays
 sorted by column, so the engine needs numpy only.
 """
@@ -143,39 +145,62 @@ class LpSolution:
     iterations: int = 0
 
 
-def _crash(r_idx: np.ndarray, c_idx: np.ndarray, vals: np.ndarray, rows: np.ndarray,
-           cols: np.ndarray, free: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows and columns of a lower-triangular starting block, in crash order.
+def _crash(r_idx: np.ndarray, c_idx: np.ndarray, vals: np.ndarray, x: np.ndarray,
+           lower: np.ndarray, upper: np.ndarray, resid: np.ndarray, slack_lo: np.ndarray,
+           slack_hi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Rows and columns of a lower-triangular starting block, in crash order,
+    the point the crash moves `x` to, and b - A x there.
 
-    `rows` marks the rows that may give their basis place to a column, `cols`
-    the columns that may take one, and `free` the columns without bounds; the
-    entries are sorted by column. Entry a_rj qualifies when |a_rj| is at
-    least _CRASH_PIVOT of its column's largest |a_ij|. The row with the fewest
-    qualifying columns left is served first; it takes a free column before a
-    boxed one, then the column with the fewest entries, then the lowest index.
-    Serving a row puts every column with an entry in it out of play, so no
-    column taken later has an entry in an earlier row: the block is lower
-    triangular with a nonzero diagonal, hence nonsingular.
+    `resid` is b - A x at the given point; the entries are sorted by column.
+    Every equality row may give its basis place to a structural column with
+    `lower < upper`, at or inside a bound, through an entry a_rj of at least
+    _CRASH_PIVOT of its column's largest |a_ij|. The row with the fewest
+    qualifying columns left is served first. It tries them in order, a free
+    column before a boxed one, then the column with the fewest entries, then
+    the lowest index. A column whose box holds x_j + res_r / a_rj moves there
+    and becomes basic, and the row counts as exactly satisfied; one whose box
+    does not moves to its bound on that side and stays nonbasic, and the row
+    tries its next column, so a generator's segments fill cheapest first.
+    A move is skipped when it would take an inequality row, which keeps its
+    slack, out of the slack's range, or further out. Each move updates the
+    residual of every row the column touches. A row that no column serves
+    keeps what is left of its residual. Serving a row puts every column with
+    an entry in it out of play, so no column taken later has an entry in an
+    earlier row: the block is lower triangular with a nonzero diagonal,
+    hence nonsingular, and the served rows stay satisfied.
     """
-    n, m = len(cols), len(rows)
+    n, m = len(x), len(resid)
     mag = np.abs(vals)
     col_max = np.zeros(n)
     np.maximum.at(col_max, c_idx, mag)
-    live = rows[r_idx] & cols[c_idx]
-    r_live, c_live = r_idx[live], c_idx[live]
+    equality = slack_lo == slack_hi
+    live = equality[r_idx] & (lower < upper)[c_idx]
+    r_live, c_live, v_live = r_idx[live], c_idx[live], vals[live]
     ok = mag[live] >= _CRASH_PIVOT * col_max[c_live]
     # CSR-style lists: the live columns of each row, each row's qualifying
-    # columns in the order it prefers them, and the rows each column
-    # qualifies in (the entries come sorted by column)
+    # columns and entries in the order it prefers them, the rows each column
+    # qualifies in, and every entry of each column (they come sorted by it)
     by_row = np.argsort(r_live, kind="stable")
     in_row = c_live[by_row].tolist()
     in_row_at = np.searchsorted(r_live[by_row], np.arange(m + 1)).tolist()
     r_ok, c_ok = r_live[ok], c_live[ok]
+    free = np.isinf(lower) & np.isinf(upper)
     pref = np.lexsort((c_ok, np.bincount(c_idx, minlength=n)[c_ok], ~free[c_ok], r_ok))
     options = c_ok[pref].tolist()
+    option_val = v_live[ok][pref].tolist()
     options_at = np.searchsorted(r_ok[pref], np.arange(m + 1)).tolist()
     rows_of = r_ok.tolist()
     rows_of_at = np.searchsorted(c_ok, np.arange(n + 1)).tolist()
+    entry_row, entry_val = r_idx.tolist(), vals.tolist()
+    entries_at = np.searchsorted(c_idx, np.arange(n + 1)).tolist()
+    # the columns with an entry in an inequality row
+    guarded = np.bincount(c_idx, weights=~equality[r_idx], minlength=n).astype(bool).tolist()
+
+    x, res, eq = x.tolist(), resid.tolist(), equality.tolist()
+    lo, hi, box_lo, box_hi = slack_lo.tolist(), slack_hi.tolist(), lower.tolist(), upper.tolist()
+
+    def off(i: int, r: float) -> float:  # how far residual r lies outside row i's slack range
+        return max(lo[i] - r, r - hi[i], 0.0)
 
     left = np.diff(options_at).tolist()
     queue = [(k, r) for r, k in enumerate(left) if k]
@@ -184,11 +209,33 @@ def _crash(r_idx: np.ndarray, c_idx: np.ndarray, vals: np.ndarray, rows: np.ndar
     crash_rows, crash_cols = [], []
     while queue:
         k, r = heapq.heappop(queue)
-        if k != left[r]:  # stale entry, or the row is served
+        if k != left[r]:  # stale entry, or the row is done
             continue
-        crash_rows.append(r)
-        crash_cols.append(next(j for j in options[options_at[r]:options_at[r + 1]] if not out[j]))
         left[r] = 0
+        for j, a in zip(options[options_at[r]:options_at[r + 1]],
+                        option_val[options_at[r]:options_at[r + 1]]):
+            if out[j]:
+                continue
+            target = x[j] + res[r] / a
+            basic = box_lo[j] <= target <= box_hi[j]
+            if not basic:
+                target = box_lo[j] if target < box_lo[j] else box_hi[j]
+            step = target - x[j]
+            if step:
+                span = slice(entries_at[j], entries_at[j + 1])
+                if guarded[j] and any(not eq[i] and off(i, res[i] - v * step) > off(i, res[i])
+                                      for i, v in zip(entry_row[span], entry_val[span])):
+                    continue
+                for i, v in zip(entry_row[span], entry_val[span]):
+                    res[i] -= v * step
+                x[j] = target
+            if basic:
+                break
+        else:
+            continue
+        res[r] = 0.0
+        crash_rows.append(r)
+        crash_cols.append(j)
         for j in in_row[in_row_at[r]:in_row_at[r + 1]]:
             if out[j]:
                 continue
@@ -198,24 +245,25 @@ def _crash(r_idx: np.ndarray, c_idx: np.ndarray, vals: np.ndarray, rows: np.ndar
                     left[i] -= 1
                     if left[i]:
                         heapq.heappush(queue, (left[i], i))
-    return np.array(crash_rows, dtype=np.int64), np.array(crash_cols, dtype=np.int64)
+    return (np.array(crash_rows, dtype=np.int64), np.array(crash_cols, dtype=np.int64),
+            np.array(x), np.array(res))
 
 
 class _Simplex:
     """Equality-form working problem A x + I s + D a = b over the rows of
     `lp`. Columns are structural | slack | artificial. Each structural column
-    starts at the point of its box nearest zero (0 when the box holds it), so
-    flows, angles and cost segments start at 0. Each row whose slack cannot
-    absorb its residual at that point gets an artificial column, a signed
-    unit column in [0, inf) that starts basic; artificials never enter the
-    basis. Every other row starts with its slack basic, except where `_crash`
-    gives an equality row that its slack satisfies at residual 0 a
-    structural column strictly inside its box: a free angle or a flow at 0.
-    The crashed columns form a lower-triangular block, so the starting basis
-    is nonsingular, and they stand at 0 as before, so the starting point is
-    the same. `rise` and `fall` mark the nonbasic columns that may move up or
-    down from where they stand; only the entering, leaving and bound-flipped
-    columns change them.
+    starts at the point of its box nearest zero (0 when the box holds it),
+    and `_crash` then moves some of them: it gives each equality row it can
+    serve a structural column with `lower < upper`, basic at the value that
+    leaves the row a residual of 0, and may stop other columns of the row at
+    a bound on the way. The crashed columns form a lower-triangular block,
+    so the starting basis is nonsingular. Each other row starts with its
+    slack basic at its residual at the crashed point, unless the slack cannot
+    absorb it; then the row gets an artificial column, a signed unit column
+    in [0, inf) that starts basic. Artificials never enter the basis. `rise`
+    and `fall` mark the nonbasic columns that may move up or down from where
+    they stand; only the entering, leaving and bound-flipped columns change
+    them.
     """
 
     def __init__(self, lp: LinearProgram):
@@ -229,12 +277,16 @@ class _Simplex:
         lower = np.array(lp.lower, dtype=float)
         upper = np.array(lp.upper, dtype=float)
 
-        # each slack takes the value nearest its row's residual and is basic
-        # when it absorbs all of it, otherwise a basic artificial takes the rest
+        # the crash moves the structurals from the point of their box nearest
+        # zero; then each slack takes the value nearest its row's residual and
+        # is basic when it absorbs all of it, otherwise a basic artificial
+        # takes the rest
         x = np.clip(0.0, lower, upper)
         slack_lo = np.array([-INF if s == ">=" else 0.0 for s in lp.senses])
         slack_hi = np.array([INF if s == "<=" else 0.0 for s in lp.senses])
         resid = self.b - np.bincount(r_idx, weights=vals * x[c_idx], minlength=m)
+        crash_rows, crash_cols, x, resid = _crash(r_idx, c_idx, vals, x, lower, upper, resid,
+                                                  slack_lo, slack_hi)
         slack = np.clip(resid, slack_lo, slack_hi)
         fits = (slack_lo - 1e-12 <= resid) & (resid <= slack_hi + 1e-12)
         art_rows = np.flatnonzero(~fits)
@@ -261,10 +313,6 @@ class _Simplex:
 
         self.basis = n + np.arange(m)
         self.basis[art_rows] = self.total + np.arange(n_art)
-        crash_rows, crash_cols = _crash(r_idx, c_idx, vals,
-                                        (slack_lo == slack_hi) & (resid == 0.0),
-                                        (lower < x) & (x < upper),
-                                        np.isinf(lower) & np.isinf(upper))
         self.basis[crash_rows] = crash_cols
         self.in_basis = np.zeros(len(self.x), dtype=bool)
         self.in_basis[self.basis] = True
@@ -306,52 +354,49 @@ class _Simplex:
     def _entering(self, d: np.ndarray, bland: bool) -> tuple[int, float] | None:
         # how fast the objective falls per unit move in an allowed direction
         score = np.maximum(-d * self.rise, d * self.fall)
-        if bland:
-            idx = np.flatnonzero(score > _TOL)
-            if idx.size == 0:
-                return None
-            j = int(idx[0])
-        else:
-            j = int(np.argmax(score))
-            if score[j] <= _TOL:
-                return None
+        j = int(np.argmax(score > _TOL if bland else score))  # Bland: the first that falls
+        if score[j] <= _TOL:
+            return None
         return j, 1.0 if d[j] < 0.0 else -1.0
 
     def _ratio_test(self, j: int, direction: float, w: np.ndarray,
                     bland: bool) -> tuple[float, int]:
         """Step length and leaving basis row, -1 when column j flips bounds.
 
-        Harris's two passes. A basic column's Harris slack is _BOUND_EPS *
-        (1 + |bound|), and for a row's slack column also the row's largest
-        |coefficient| when that is below 1. The first pass finds the largest
-        step that every basic column allows when its bound is relaxed by its
-        Harris slack, measured from where the column stands, so one already
-        outside its bound gets only what is left of it. The second takes, among
-        the rows whose exact ratio lies within that step, the one with the
-        largest |w_r|, or under Bland's rule the lowest basis column, and
-        steps to its exact ratio; no basic column in the test then ends
-        further outside its bound than its slack, or than it already was.
-        When column j's own distance to its bound in the direction of the
-        move, `limit`, fits in the first pass's step, j flips instead. An
-        infinite step means the direction is a ray.
+        Harris's two passes over the rows with |w_r| > _PIVOT_TOL; the others
+        are not in the test. A basic column's Harris slack is
+        _BOUND_EPS * (1 + |bound|), and for a row's slack column also the
+        row's largest |coefficient| when that is below 1. The first pass finds
+        the largest step that every basic column allows when its bound is
+        relaxed by its Harris slack, measured from where the column stands, so
+        one already outside its bound gets only what is left of it. The second
+        takes, among the rows whose exact ratio lies within that step, the one
+        with the largest |w_r|, or under Bland's rule the lowest basis column,
+        and steps to its exact ratio; no basic column in the test then ends
+        further outside its bound than its slack, or than it already was. When
+        column j's own distance to its bound in the direction of the move,
+        `limit`, fits in the first pass's step, j flips instead. An infinite
+        step means the direction is a ray.
         """
         limit = self.upper[j] - self.x[j] if direction > 0 else self.x[j] - self.lower[j]
-        rate = np.abs(w)
-        live = rate > _PIVOT_TOL
-        up = direction * w < 0.0
-        bj = self.basis
+        live = (np.abs(w) > _PIVOT_TOL).nonzero()[0]
+        if live.size == 0:  # nothing blocks: a flip, or a ray when limit is inf
+            return limit, -1
+        wl = w[live]
+        rate = np.abs(wl)
+        up = direction * wl < 0.0
+        bj = self.basis[live]
         xb = self.x[bj]
         bound = np.where(up, self.upper[bj], self.lower[bj])
         cap = np.where(up, bound - xb, xb - bound)
         slack = self.harris[bj] * (1.0 + np.abs(bound))
-        room = np.divide(np.maximum(cap + slack, 0.0), rate, out=np.full(len(w), INF), where=live)
-        reach = room.min(initial=INF)
+        reach = (np.maximum(cap + slack, 0.0) / rate).min()
         if limit <= reach:
             return limit, -1
-        ratio = np.divide(np.maximum(cap, 0.0), rate, out=np.full(len(w), INF), where=live)
-        blocking = np.flatnonzero(ratio <= reach)
+        ratio = np.maximum(cap, 0.0) / rate
+        blocking = (ratio <= reach).nonzero()[0]
         pick = blocking[np.argmin(bj[blocking]) if bland else np.argmax(rate[blocking])]
-        return float(ratio[pick]), int(pick)
+        return float(ratio[pick]), int(live[pick])
 
     def _pivot(self, j: int, r: int, w: np.ndarray) -> None:
         """Column j replaces basis row r; the leaving column snaps to a bound."""
@@ -371,11 +416,11 @@ class _Simplex:
 
         self.b_inv[r] /= w[r]
         row = self.b_inv[r].copy()
-        moved = np.flatnonzero(w)  # a row with w = 0 keeps its values
+        moved = w.nonzero()[0]  # a row with w = 0 keeps its values
         if 2 * moved.size < len(w):  # below about half, the gather and scatter pay
-            self.b_inv[moved] -= np.outer(w[moved], row)
+            self.b_inv[moved] -= w[moved, None] * row
         else:
-            self.b_inv -= np.outer(w, row)
+            self.b_inv -= w[:, None] * row
         self.b_inv[r] = row
 
     def run(self, cost: np.ndarray) -> str:

@@ -9,7 +9,9 @@ import pytest
 
 from gridctl import lp_engine
 from gridctl.lp_engine import LinearProgram, LpStatus, NumericalBreakdown, solve_lp
-from gridctl.power_flow_models import build_lp, electrical_model, flow_model
+from gridctl.grid_model import Branch, Generator, PowerGrid
+from gridctl.power_flow_models import build_lp, electrical_model, flow_model, hybrid_model
+from gridctl.pwl import PiecewiseLinearConvex
 
 from conftest import get_case, scipy_check
 
@@ -480,6 +482,31 @@ def test_random_battery_against_scipy():
             assert ours.status == LpStatus.INFEASIBLE, f"trial {trial}"
 
 
+def test_badly_scaled_random_battery_against_scipy():
+    # Each row and its right-hand side are scaled by 10^U(-5, 5.8), so the
+    # coefficients span about eleven decades. The engine has no scaling, so
+    # it may raise NumericalBreakdown on some of these, but any verdict it
+    # returns must be HiGHS's.
+    rng = np.random.default_rng(2718)
+    statuses = {0: LpStatus.OPTIMAL, 2: LpStatus.INFEASIBLE, 3: LpStatus.UNBOUNDED}
+    breakdowns = 0
+    for trial in range(300):
+        lp = random_lp(rng, int(rng.integers(2, 9)), int(rng.integers(1, 11)),
+                       anchor=trial % 2 == 0)
+        for i, row in enumerate(lp.rows):
+            scale = 10.0 ** rng.uniform(-5.0, 5.8)
+            lp.rows[i] = {j: a * scale for j, a in row.items()}
+            lp.rhs[i] *= scale
+        ref = scipy_check(lp)
+        try:
+            sol = solve_lp(lp)
+        except NumericalBreakdown:
+            breakdowns += 1
+            continue
+        assert sol.status == statuses[ref.status], f"trial {trial}"
+    assert breakdowns < 30  # 14 of the 300 at the time of writing
+
+
 def test_weak_duality_on_random_optima():
     rng = np.random.default_rng(4242)
     checked = 0
@@ -505,8 +532,9 @@ def test_weak_duality_on_random_optima():
 
 # -- the triangular crash basis ------------------------------------------------------
 
-def record_crashes(monkeypatch) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The rows and columns each _Simplex crash returns, in crash order."""
+def record_crashes(monkeypatch) -> list[tuple[np.ndarray, ...]]:
+    """What each _Simplex crash returns: its rows and columns in crash order,
+    the crashed point and b - A x there."""
     seen = []
     crash = lp_engine._crash
 
@@ -518,83 +546,171 @@ def record_crashes(monkeypatch) -> list[tuple[np.ndarray, np.ndarray]]:
     return seen
 
 
-def test_crash_gives_every_coupling_row_a_structural_column():
-    # At lambda = 1 there are no loss rows to take the flows first. The gauge
-    # row theta = 0 keeps its slack: its entry 1 is below 0.1 of the largest
-    # susceptance in that angle's column.
-    lp, vmap = build_lp(get_case("case14"), electrical_model(), 1.0)
-    spx = lp_engine._Simplex(lp)
-    assert all(spx.basis[row] < lp.n_vars for row in vmap.coupling_row.values())
-    angles = set(vmap.theta_var.values())
-    (gauge,) = [i for i, row in enumerate(lp.rows) if set(row) <= angles]
-    (theta,) = lp.rows[gauge]
-    assert lp.rows[gauge][theta] < 0.1 * max(abs(row.get(theta, 0.0)) for row in lp.rows)
-    assert spx.basis[gauge] == lp.n_vars + gauge
+def check_crash_point(lp: LinearProgram, rows, x, res) -> None:
+    """The crash's promises about its point, recomputed from `lp`: every
+    column lies in its box, every crashed row has residual 0 there, `res`
+    is b - A x, and no inequality row ends outside its slack's range unless
+    it started there, and then no further out."""
+    lo, hi = np.array(lp.lower), np.array(lp.upper)
+    assert np.all((lo <= x) & (x <= hi))
+    start = np.clip(0.0, lo, hi)
+    for i, (row, sense, b) in enumerate(zip(lp.rows, lp.senses, lp.rhs)):
+        tol = 1e-9 * (1.0 + abs(b) + sum(abs(a * x[j]) for j, a in row.items()))
+        resid = b - sum(a * x[j] for j, a in row.items())
+        assert res[i] == pytest.approx(resid, abs=tol), f"row {i}"
+        if i in rows:
+            assert res[i] == 0.0 and abs(resid) <= tol, f"row {i}"
+        if sense != "=":
+            slack_lo, slack_hi = (-math.inf, 0.0) if sense == ">=" else (0.0, math.inf)
+            before = b - sum(a * start[j] for j, a in row.items())
+            off = max(slack_lo - before, before - slack_hi, 0.0)
+            assert slack_lo - off - tol <= resid <= slack_hi + off + tol, f"row {i}"
 
 
 @pytest.mark.parametrize("case, kind, lam", [("case14", "electrical", 0.5),
                                              ("case30", "flow", 0.0),
                                              ("case118", "electrical", 0.5)])
-def test_crash_block_is_triangular_and_maximal(monkeypatch, case, kind, lam):
+def test_crash_block_is_triangular_and_nonsingular(monkeypatch, case, kind, lam):
     model = electrical_model() if kind == "electrical" else flow_model()
     lp, _vmap = build_lp(get_case(case), model, lam)
     crashes = record_crashes(monkeypatch)
     spx = lp_engine._Simplex(lp)
-    (rows, cols), = crashes
+    (rows, cols, _x, _res), = crashes
     rows, cols = rows.tolist(), cols.tolist()
-    assert len(rows) > 0 and np.array_equal(spx.basis[rows], cols)
-
-    x = np.clip(0.0, lp.lower, lp.upper)  # the start: each column's point nearest zero
-    eligible = [i for i, (row, sense, b) in enumerate(zip(lp.rows, lp.senses, lp.rhs))
-                if sense == "=" and b == sum(a * x[j] for j, a in row.items())]
-    interior = {j for j in range(lp.n_vars) if lp.lower[j] < x[j] < lp.upper[j]}
+    assert np.array_equal(spx.basis[rows], cols)
+    # the crash serves rows with a nonzero right-hand side, not only those
+    # the start already satisfies
+    assert any(lp.rhs[r] != 0.0 for r in rows)
+    assert all(lp.senses[r] == "=" for r in rows)
+    assert all(lp.lower[j] < lp.upper[j] for j in cols)
     col_max = np.zeros(lp.n_vars)
     for row in lp.rows:
         for j, a in row.items():
             col_max[j] = max(col_max[j], abs(a))
-    assert set(rows) <= set(eligible) and set(cols) <= interior
     # in crash order, no column has an entry in an earlier row, and each
     # diagonal entry is at least 0.1 of its column's largest
     for k, (r, j) in enumerate(zip(rows, cols)):
         assert not set(cols[k + 1:]) & set(lp.rows[r])
         assert abs(lp.rows[r][j]) >= 0.1 * col_max[j]
-    # maximal: a row left out has no qualifying column without an entry in
-    # a crashed row
-    taken = {j for r in rows for j in lp.rows[r]}
-    for i in set(eligible) - set(rows):
-        assert not [j for j, a in lp.rows[i].items()
-                    if j in interior and j not in taken and abs(a) >= 0.1 * col_max[j]]
+    block = np.array([[lp.rows[r].get(j, 0.0) for j in cols] for r in rows])
+    assert np.array_equal(block, np.tril(block))
+    assert np.linalg.matrix_rank(block) == len(rows)
 
 
-def test_crash_keeps_the_starting_point(monkeypatch):
-    lp, _vmap = build_lp(get_case("case14"), electrical_model(), 0.5)
-    crashed = lp_engine._Simplex(lp)
-    monkeypatch.setattr(lp_engine, "_crash", lambda *args: (np.zeros(0, int), np.zeros(0, int)))
-    plain = lp_engine._Simplex(lp)
-    assert not np.array_equal(crashed.basis, plain.basis)
-    assert np.array_equal(crashed.x, plain.x)
+def test_crash_point_satisfies_its_rows_inside_the_boxes(monkeypatch):
+    crashes = record_crashes(monkeypatch)
+    moved = 0
+    for case in ["case6ww", "case9", "case14", "case30", "case39", "case57", "case118"]:
+        grid = get_case(case)
+        for model in (flow_model(), electrical_model(), hybrid_model(sorted(grid.buses)[::5])):
+            for lam in (0.0, 0.5, 1.0):
+                lp, _vmap = build_lp(grid, model, lam)
+                spx = lp_engine._Simplex(lp)
+                rows, cols, x, res = crashes[-1]
+                check_crash_point(lp, set(rows.tolist()), x, res)
+                moved += int(np.sum(x != np.clip(0.0, lp.lower, lp.upper)))
+                # the nonbasic columns stay where the crash put them, and
+                # only the rows it could not serve, and whose slack cannot
+                # hold their residual, get an artificial
+                nonbasic = ~spx.in_basis[:lp.n_vars]
+                assert np.array_equal(spx.x[:lp.n_vars][nonbasic], x[nonbasic])
+                art_rows = {i for i, j in enumerate(spx.basis) if j >= spx.total}
+                assert not art_rows & set(rows.tolist())
+                assert all(lp.senses[i] == "=" and res[i] != 0.0
+                           or (res[i] < 0.0) == (lp.senses[i] == "<=") for i in art_rows)
+    assert moved > 0
 
 
-def test_crash_takes_only_zero_residual_equality_rows_and_interior_columns():
+def test_crash_fills_a_generators_segments_cheapest_first():
+    # The generator at bus 1 costs max(x, 3x - 8): a segment of width 4 at
+    # slope 1, then one of width 10 at slope 3. Bus 2's row has the flow as
+    # its one column and routes the demand of 6 onto bus 1's row; there the
+    # cheap segment fills to its bound of 4 and the dear one takes the
+    # remaining 2 as a basic column. That start is optimal, so no pivot is
+    # needed.
+    cost = PiecewiseLinearConvex(((1.0, 0.0), (3.0, -8.0)), 14.0)
+    grid = PowerGrid(buses=[1, 2], branches=[Branch(1, 2, susceptance=100.0, capacity=20.0)],
+                     generators={1: Generator(14.0, cost)}, consumers={2: 6.0})
+    lp, vmap = build_lp(grid, flow_model(), 1.0)
+    (f,) = vmap.flow_var.values()
+    cheap, dear = [j for j in range(lp.n_vars) if j != f]
+    assert (lp.upper[cheap], lp.obj[cheap], lp.upper[dear], lp.obj[dear]) == (4.0, 1.0, 10.0, 3.0)
+    spx = lp_engine._Simplex(lp)
+    assert spx.total == len(spx.x)  # no artificial
+    assert (spx.x[f], spx.x[cheap], spx.x[dear]) == (6.0, 4.0, 2.0)
+    assert spx.in_basis[f] and spx.in_basis[dear] and not spx.in_basis[cheap]
+    sol = solve_lp(lp)
+    assert sol.status == LpStatus.OPTIMAL and sol.iterations == 0
+    assert sol.objective == pytest.approx(10.0)
+
+
+def test_crash_keeps_inequality_rows_in_their_slack_range(monkeypatch):
+    crashes = record_crashes(monkeypatch)
+    # 7e5 x = 6 needs x = 6/7e5, which would leave 5e-5 x <= 0 short by
+    # 4.3e-10, below the phase-one tolerance: the move is rejected, the row
+    # keeps an artificial, and phase one proves the LP infeasible
+    lp = LinearProgram()
+    x = lp.add_variable("x", 0.0, 8.0)
+    lp.add_constraint({x: 7e5}, "=", 6.0)
+    lp.add_constraint({x: 5e-5}, "<=", 0.0)
+    spx = lp_engine._Simplex(lp)
+    rows, _cols, point, _res = crashes[-1]
+    assert rows.size == 0 and point[x] == 0.0 and spx.basis[0] >= spx.total
+    assert solve_lp(lp).status == LpStatus.INFEASIBLE
+
+    # y + z = 5 prefers y, the lower index, but y <= -1 already misses its
+    # range and y = 5 would miss it further; z = 5 keeps z >= 2 satisfied
+    lp = LinearProgram()
+    y = lp.add_variable("y", 0.0, 10.0)
+    z = lp.add_variable("z", 0.0, 10.0)
+    pick = lp.add_constraint({y: 1.0, z: 1.0}, "=", 5.0)
+    lp.add_constraint({y: 1.0}, "<=", -1.0)
+    lp.add_constraint({z: 1.0}, ">=", 2.0)
+    spx = lp_engine._Simplex(lp)
+    rows, cols, point, res = crashes[-1]
+    assert rows.tolist() == [pick] and cols.tolist() == [z] and spx.basis[pick] == z
+    assert (point[y], point[z]) == (0.0, 5.0)
+    check_crash_point(lp, {pick}, point, res)
+    # the '>=' row now fits its slack; the '<=' row, still short, keeps an
+    # artificial
+    assert spx.basis[2] == lp.n_vars + 2 and spx.basis[1] >= spx.total
+
+    # a move may bring a row that misses its range closer: y = 5 leaves
+    # y >= 8 short by 3 rather than 8
+    lp = LinearProgram()
+    y = lp.add_variable("y", 0.0, 10.0)
+    z = lp.add_variable("z", 0.0, 10.0)
+    pick = lp.add_constraint({y: 1.0, z: 1.0}, "=", 5.0)
+    lp.add_constraint({y: 1.0}, ">=", 8.0)
+    lp.add_constraint({z: 1.0}, "<=", 10.0)
+    lp_engine._Simplex(lp)
+    rows, cols, point, res = crashes[-1]
+    assert cols.tolist() == [y] and (point[y], point[z]) == (5.0, 0.0)
+    check_crash_point(lp, {pick}, point, res)
+
+
+def test_crash_takes_equality_rows_and_columns_with_room(monkeypatch):
+    crashes = record_crashes(monkeypatch)
     lp = LinearProgram()
     free = lp.add_variable("free", -math.inf, math.inf)
     boxed = lp.add_variable("boxed", -1.0, 2.0)
     inner = lp.add_variable("inner", -1.0, 1.0)
     at_lower = lp.add_variable("at_lower", 0.0, 5.0)
-    at_upper = lp.add_variable("at_upper", -3.0, 0.0)
     fixed = lp.add_variable("fixed", 0.0, 0.0)
     # the free column wins, though the boxed one has fewer entries
     pick = lp.add_constraint({free: 1.0, boxed: 2.0}, "=", 0.0)
-    inequality = lp.add_constraint({free: 1.0, inner: 1.0}, "<=", 0.0)
-    residual = lp.add_constraint({inner: 1.0}, "=", 0.5)
-    bounds = lp.add_constraint({at_lower: 1.0, at_upper: 1.0, fixed: 1.0}, "=", 0.0)
-    lp.set_objective({boxed: 1.0, inner: -1.0, at_lower: 1.0, at_upper: -1.0})
+    inequality = lp.add_constraint({free: 1.0, inner: 1.0}, "<=", 1.0)
+    residual = lp.add_constraint({inner: 1.0}, "=", 0.5)  # nonzero residual
+    bounds = lp.add_constraint({at_lower: 1.0, fixed: 1.0}, "=", 3.0)  # column at a bound
+    lp.set_objective({boxed: 1.0, inner: -1.0, at_lower: 1.0})
     spx = lp_engine._Simplex(lp)
-    n = lp.n_vars
-    assert spx.basis[pick] == free
-    assert spx.basis[inequality] == n + inequality
-    assert spx.basis[residual] >= spx.total  # an artificial
-    assert spx.basis[bounds] == n + bounds
+    rows, cols, point, res = crashes[-1]
+    assert dict(zip(rows.tolist(), cols.tolist())) == {pick: free, residual: inner,
+                                                       bounds: at_lower}
+    assert spx.basis[inequality] == lp.n_vars + inequality
+    assert spx.total == len(spx.x)  # no artificial
+    assert (point[inner], point[at_lower], point[fixed]) == (0.5, 3.0, 0.0)
+    check_crash_point(lp, set(rows.tolist()), point, res)
     sol, ref = solve_lp(lp), scipy_check(lp)
     assert sol.status == LpStatus.OPTIMAL and ref.status == 0
     assert sol.objective == pytest.approx(ref.fun, abs=1e-9)
@@ -654,7 +770,9 @@ def test_random_battery_where_the_crash_fires(monkeypatch):
         lp = crash_lp(rng)
         sol = solve_lp(lp)
         ref = scipy_check(lp)
-        fired += len(crashes[-1][0]) > 0
+        rows, _cols, x, res = crashes[-1]
+        check_crash_point(lp, set(rows.tolist()), x, res)
+        fired += rows.size > 0
         assert sol.status == statuses[ref.status], f"trial {trial}"
         if sol.status == LpStatus.OPTIMAL:
             assert sol.objective == pytest.approx(ref.fun, abs=1e-6), f"trial {trial}"
