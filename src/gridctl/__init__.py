@@ -5,8 +5,10 @@ the classical DC (electrical) model, and a hybrid model where a chosen set of
 buses may redistribute flow freely. The models are solved as LPs by an
 in-house bounded simplex (`lp_engine`). `graph_algorithms` computes the block
 decomposition and exact vertex covers and forest/cactus feedback vertex sets,
-the candidate controller sets; `power_flow_models` also shifts a flow around
-the cycles of a cactus and checks a fixed flow for electrical feasibility.
+the candidate controller sets. `power_flow_models` also checks a fixed flow
+for electrical feasibility and shifts a flow around the cycles of a cactus;
+both work on the fundamental cycles of one spanning forest of the buses
+without a controller.
 """
 
 from .case_io import SamplingConfig, build_grid, load_case, parse_case

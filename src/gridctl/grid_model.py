@@ -29,6 +29,9 @@ class DomainExceeded(ValueError):
     """Generator production outside its cost curve's domain."""
 
 
+_DOMAIN_TOL = 1e-6  # production may leave a cost curve's domain by this, relative
+
+
 @dataclass(frozen=True)
 class Branch:
     """Undirected branch stored with a canonical (u, v) orientation."""
@@ -248,13 +251,13 @@ def check_feasible(grid: PowerGrid, flow: Flow, tol: float = 1e-6) -> Feasibilit
     return FeasibilityReport(out)
 
 
-def flow_cost(grid: PowerGrid, flow: Flow, lam: float, domain_tol: float = 1e-6) -> CostBreakdown:
+def flow_cost(grid: PowerGrid, flow: Flow, lam: float) -> CostBreakdown:
     """Generation cost, loss cost and their lambda-weighted combination."""
     c_g = 0.0
     for bus, gen in sorted(grid.generators.items()):
         production = net_outflow(grid, flow, bus) + grid.demand(bus)
-        if production < -domain_tol * (1 + gen.capacity) or \
-                production > gen.cost.domain_max + domain_tol * (1 + gen.capacity):
+        slack = _DOMAIN_TOL * (1 + gen.capacity)
+        if production < -slack or production > gen.cost.domain_max + slack:
             raise DomainExceeded(
                 f"bus {bus}: production {production:.6g} outside [0, {gen.cost.domain_max:.6g}]")
         c_g += gen.cost(min(max(production, 0.0), gen.cost.domain_max))

@@ -475,9 +475,10 @@ class _Simplex:
         """Drive the artificials to zero. Returns None when they get there,
         or a Farkas row ray when the rows are infeasible.
 
-        A phase-one optimum above tolerance counts as infeasible only when
-        it holds after a refactorization and its duals pass the Farkas
-        interval test; otherwise NumericalBreakdown is raised.
+        An artificial above tolerance of its own row after a refactorization
+        counts as infeasible when the duals pass the Farkas interval test;
+        without a certificate, NumericalBreakdown is raised only if the
+        artificials also sum above the tolerance of the largest |b|.
         """
         if self.total == len(self.x):  # no artificials: the start is feasible
             return None
@@ -486,9 +487,12 @@ class _Simplex:
         if self.run(art_cost) != "optimal":  # bounded below by 0
             raise NumericalBreakdown("phase one reported unbounded")
         scale = 1.0 + float(np.abs(self.b).max(initial=0.0))
-        if np.abs(self.x[art]).sum() > _TOL * scale * 10:
+        # each artificial (one entry, on its row) against its own row's |b_i|:
+        # a row scaled small must not pass because another row's b is large
+        art_tol = 10 * _TOL * (1.0 + np.abs(self.b[self.row_of[self.start[self.total]:]]))
+        if (np.abs(self.x[art]) > art_tol).any():
             self._refactor()
-            if np.abs(self.x[art]).sum() > _TOL * scale * 10:
+            if (np.abs(self.x[art]) > art_tol).any():
                 y = self._duals(art_cost)
                 # phase one prices with costs 0 and 1 and counts a reduced cost
                 # within _TOL as zero; row i's slack has reduced cost -y_i, so
@@ -496,7 +500,8 @@ class _Simplex:
                 ray = np.where(np.abs(y) > _TOL, y, 0.0)
                 if self._farkas_gap(ray) > _TOL * scale:
                     return ray
-            raise NumericalBreakdown("phase one stalled above zero without a Farkas certificate")
+            if np.abs(self.x[art]).sum() > _TOL * scale * 10:
+                raise NumericalBreakdown("phase one stalled above zero without a Farkas certificate")
         self.upper[art] = 0.0  # pin artificials so phase two cannot revive them
         self.x[art] = np.clip(self.x[art], 0.0, None)
         return None

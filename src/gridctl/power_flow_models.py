@@ -15,10 +15,14 @@ the DC coupling row
 
     f(u,v) = B(u,v) * (theta_u - theta_v)
 
-on exactly the branches whose two endpoints both lack a flow controller; one
-angle per connected component of the native (controller-free) subgraph is
-pinned to zero as the gauge. The flow model is the hybrid model with every
-bus controlled, the electrical model the hybrid model with none.
+on exactly the branches whose two endpoints both lack a flow controller. One
+breadth-first spanning forest of the native (controller-free) subgraph serves
+the gauge, the angle check of a fixed flow and the cactus shift: each tree's
+root, its component's lowest bus, has its angle pinned to zero, and each
+native branch off the forest closes one fundamental cycle. The cycles are
+pairwise edge-disjoint exactly when the native subgraph is a cactus. The flow
+model is the hybrid model with every bus controlled, the electrical model the
+hybrid model with none.
 """
 
 from __future__ import annotations
@@ -28,7 +32,8 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from . import lp_engine
-from .graph_algorithms import BlockKind, Multigraph, biconnected_components
+# not called here: bench/tracing.py counts calls through this module's name
+from .graph_algorithms import biconnected_components  # noqa: F401
 from .grid_model import (ControlSet, CostBreakdown, Flow, PowerGrid,
                          check_feasible, flow_cost)
 from .lp_engine import LinearProgram, LpStatus
@@ -104,7 +109,7 @@ def build_lp(grid: PowerGrid, kind: ModelKind, lam: float) -> tuple[LinearProgra
         raise ValueError("lambda must lie in [0, 1]")
     lp = LinearProgram()
     vmap = VariableMap()
-    controls = kind.control_set(grid)
+    native = kind.native_vertices(grid)
     with_theta = kind.name != "flow"
 
     for i, br in enumerate(grid.branches):
@@ -147,15 +152,15 @@ def build_lp(grid: PowerGrid, kind: ModelKind, lam: float) -> tuple[LinearProgra
     # DC coupling on branches with both endpoints native
     if with_theta:
         for i, br in enumerate(grid.branches):
-            if br.u in controls or br.v in controls:
+            if br.u not in native or br.v not in native:
                 continue
             coeffs = {vmap.flow_var[i]: 1.0,
                       vmap.theta_var[br.u]: -br.susceptance,
                       vmap.theta_var[br.v]: +br.susceptance}
             vmap.coupling_row[i] = lp.add_constraint(coeffs, "=", 0.0)
-        for component in _native_components(grid, controls):
-            anchor = min(component)
-            lp.add_constraint({vmap.theta_var[anchor]: 1.0}, "=", 0.0)
+        roots, _tree = _native_forest(grid, native)
+        for root in roots:
+            lp.add_constraint({vmap.theta_var[root]: 1.0}, "=", 0.0)
 
     # loss at |f| on a lossy branch: f = sum_k p_k - sum_k m_k over the loss
     # segments in both directions; the slopes increase, so an optimum fills
@@ -178,29 +183,50 @@ def build_lp(grid: PowerGrid, kind: ModelKind, lam: float) -> tuple[LinearProgra
     return lp, vmap
 
 
-def _native_components(grid: PowerGrid, controls: ControlSet) -> list[set[int]]:
-    native = [b for b in grid.buses if b not in controls]
-    adj: dict[int, set[int]] = {b: set() for b in native}
-    for br in grid.branches:
-        if br.u in adj and br.v in adj:
-            adj[br.u].add(br.v)
-            adj[br.v].add(br.u)
+def _native_forest(grid: PowerGrid, native: set[int]
+                   ) -> tuple[list[int], dict[int, tuple[int, int]]]:
+    """Breadth-first spanning forest of the subgraph the native buses induce:
+    the roots (each component's lowest bus, ascending) and each other bus's
+    (tree branch, parent) in search order, so a parent precedes its children."""
+    roots: list[int] = []
+    tree: dict[int, tuple[int, int]] = {}
     seen: set[int] = set()
-    out = []
-    for s in native:
-        if s in seen:
+    for root in sorted(native):
+        if root in seen:
             continue
-        comp = {s}
-        stack = [s]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in comp:
-                    comp.add(y)
-                    stack.append(y)
-        seen |= comp
-        out.append(comp)
-    return out
+        roots.append(root)
+        seen.add(root)
+        queue = [root]
+        for u in queue:  # the queue grows while it is walked
+            for i in grid.incident(u):
+                v = grid.branches[i].other(u)
+                if v in native and v not in seen:
+                    seen.add(v)
+                    tree[v] = (i, u)
+                    queue.append(v)
+    return roots, tree
+
+
+def _cotree(grid: PowerGrid, native: set[int], tree: dict[int, tuple[int, int]]) -> list[int]:
+    """The native branches off the forest, ascending; each closes one cycle."""
+    in_tree = {i for i, _u in tree.values()}
+    return [i for i, br in enumerate(grid.branches)
+            if i not in in_tree and br.u in native and br.v in native]
+
+
+def _fundamental_cycle(grid: PowerGrid, tree: dict[int, tuple[int, int]],
+                       i: int) -> list[tuple[int, int]]:
+    """(branch, tail) pairs once around the cycle that cotree branch i closes:
+    up the tree from its u to the meeting point, down to its v, back along i."""
+    br = grid.branches[i]
+    up = [br.u]  # u and its ancestors
+    while up[-1] in tree:
+        up.append(tree[up[-1]][1])
+    down, v = [], br.v  # (tree branch, parent) from v up to the meeting point
+    while v not in up:
+        down.append(tree[v])
+        v = tree[v][1]
+    return [(tree[b][0], b) for b in up[:up.index(v)]] + down[::-1] + [(i, br.v)]
 
 
 @dataclass
@@ -253,7 +279,7 @@ def solve_model(grid: PowerGrid, kind: ModelKind, lam: float) -> ModelSolution:
 class AngleCheck:
     feasible: bool
     theta: dict[int, float] | None
-    violated_cycle: list[int] | None  # branch indices closing the bad cycle
+    violated_cycle: list[int] | None  # the bad cycle's branch indices, in cyclic order
     max_residual: float
 
 
@@ -262,78 +288,27 @@ def check_electrical_feasibility(grid: PowerGrid, flow: Flow,
                                  tol: float = 1e-9) -> AngleCheck:
     """Recover voltage angles on the native subgraph or exhibit a bad cycle.
 
-    Angles are propagated along a spanning tree of each connected component
-    of the induced native subgraph; every non-tree branch is then checked
-    against the DC coupling. The angle assignment is gauge-fixed to zero at
-    each component's lowest bus.
+    Angles are propagated down the native spanning forest, gauge-fixed to
+    zero at each component's lowest bus; every cotree branch is then checked
+    against the DC coupling. The first that fails returns its fundamental
+    cycle, in cyclic order.
     """
     native_set = set(native)
-    theta: dict[int, float] = {}
-    tree_edge: dict[int, tuple[int, int]] = {}  # bus -> (branch index, parent)
+    roots, tree = _native_forest(grid, native_set)
+    theta = dict.fromkeys(roots, 0.0)
+    for v, (i, u) in tree.items():
+        # f(u,v) = B (theta_u - theta_v)  =>  theta_v = theta_u - f/B
+        theta[v] = theta[u] - flow.value(i, u) / grid.branches[i].susceptance
+
     max_resid = 0.0
-
-    incident: dict[int, list[int]] = {b: [] for b in native_set}
-    for i, br in enumerate(grid.branches):
-        if br.u in native_set and br.v in native_set:
-            incident[br.u].append(i)
-            incident[br.v].append(i)
-
-    for root in sorted(native_set):
-        if root in theta:
-            continue
-        theta[root] = 0.0
-        queue = [root]
-        qi = 0
-        while qi < len(queue):
-            u = queue[qi]
-            qi += 1
-            for i in incident[u]:
-                br = grid.branches[i]
-                v = br.other(u)
-                if v in theta:
-                    continue
-                # f(u,v) = B (theta_u - theta_v)  =>  theta_v = theta_u - f/B
-                theta[v] = theta[u] - flow.value(i, u) / br.susceptance
-                tree_edge[v] = (i, u)
-                queue.append(v)
-
-    tree_ids = {i for i, _parent in tree_edge.values()}
-    for i, br in enumerate(grid.branches):
-        if br.u not in native_set or br.v not in native_set or i in tree_ids:
-            continue
+    for i in _cotree(grid, native_set, tree):
+        br = grid.branches[i]
         resid = flow.values[i] - br.susceptance * (theta[br.u] - theta[br.v])
         max_resid = max(max_resid, abs(resid))
         if abs(resid) > tol * (1.0 + abs(flow.values[i])):
-            cycle = [i]
-            # tree paths from both endpoints to their meeting point
-            path_u = _tree_path(tree_edge, br.u)
-            path_v = _tree_path(tree_edge, br.v)
-            seen = {b for b, _e in path_u}
-            join = next((b for b, _e in path_v if b in seen), None)
-            for b, e in path_u:
-                if b == join:
-                    break
-                if e is not None:
-                    cycle.append(e)
-            for b, e in path_v:
-                if b == join:
-                    break
-                if e is not None:
-                    cycle.append(e)
+            cycle = [e for e, _tail in _fundamental_cycle(grid, tree, i)]
             return AngleCheck(False, None, cycle, max_resid)
     return AngleCheck(True, theta, None, max_resid)
-
-
-def _tree_path(tree_edge, bus) -> list[tuple[int, int | None]]:
-    """(vertex, edge to parent) pairs from bus up to its component root."""
-    out = []
-    cur = bus
-    while cur in tree_edge:
-        i, parent = tree_edge[cur]
-        out.append((cur, i))
-        cur = parent
-    out.append((cur, None))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -374,63 +349,27 @@ def cactus_equivalent_flow(grid: PowerGrid, controls: Iterable[int],
                            flow: Flow) -> tuple[Flow, list]:
     """Apply the per-cycle shift on every cycle block of the native subgraph.
 
-    Requires the native subgraph to be a cactus. The result has identical net
+    Requires a cactus: NotACactus is raised when two fundamental cycles of
+    the native spanning forest share a branch. The result has identical net
     out-flows everywhere and admits a voltage angle assignment on the native
     subgraph; capacity violations introduced by the shifts are reported
     alongside rather than silently accepted.
     """
-    control_set = ControlSet.validated(controls, grid)
-    native = set(grid.buses) - control_set
-    positions: list[int] = []
-    edges = []
-    for i, br in enumerate(grid.branches):
-        if br.u in native and br.v in native:
-            positions.append(i)
-            edges.append((br.u, br.v))
-    sub = Multigraph(native, edges)
-    decomp = biconnected_components(sub)
-    if any(b.kind is BlockKind.COMPLEX for b in decomp.blocks):
-        raise NotACactus("native subgraph has an edge on two cycles")
-
+    native = set(grid.buses) - ControlSet.validated(controls, grid)
+    _roots, tree = _native_forest(grid, native)
+    on_cycle: set[int] = set()
     new_flow = flow.copy()
-    for block in decomp.blocks:
-        if block.kind is not BlockKind.CYCLE:
-            continue
-        cycle_edges = _walk_cycle(sub, block)
-        oriented = []
-        for sub_edge, tail in cycle_edges:
-            i = positions[sub_edge]
-            br = grid.branches[i]
-            oriented.append(CycleEdge(tail, br.other(tail), br.susceptance,
-                                      flow.value(i, tail)))
+    for i in _cotree(grid, native, tree):
+        cycle = _fundamental_cycle(grid, tree, i)
+        if any(e in on_cycle for e, _tail in cycle):
+            raise NotACactus("native subgraph has an edge on two cycles")
+        on_cycle.update(e for e, _tail in cycle)
+        oriented = [CycleEdge(tail, grid.branches[e].other(tail), grid.branches[e].susceptance,
+                              flow.value(e, tail)) for e, tail in cycle]
         _delta, shifted = cycle_equivalent_flow(oriented)
-        for (sub_edge, tail), value in zip(cycle_edges, shifted):
-            i = positions[sub_edge]
-            sign = 1.0 if grid.branches[i].u == tail else -1.0
-            new_flow.values[i] = sign * value
+        for (e, tail), value in zip(cycle, shifted):
+            new_flow.values[e] = value if grid.branches[e].u == tail else -value
 
     violations = [v for v in check_feasible(grid, new_flow, tol=1e-9).violations
                   if v.kind == "capacity"]
     return new_flow, violations
-
-
-def _walk_cycle(sub: Multigraph, block) -> list[tuple[int, int]]:
-    """(edge index, tail vertex) pairs tracing the cycle block once around."""
-    edges = sorted(block.edge_indices)
-    start = min(sub.edges[i][0] for i in edges)
-    order: list[tuple[int, int]] = []
-    used: set[int] = set()
-    cur = start
-    while len(order) < len(edges):
-        for i in sorted(block.edge_indices):
-            if i in used:
-                continue
-            u, v = sub.edges[i]
-            if u == cur or v == cur:
-                order.append((i, cur))
-                used.add(i)
-                cur = v if u == cur else u
-                break
-        else:
-            raise NotACycle("cycle walk failed")
-    return order

@@ -504,7 +504,7 @@ def test_badly_scaled_random_battery_against_scipy():
             breakdowns += 1
             continue
         assert sol.status == statuses[ref.status], f"trial {trial}"
-    assert breakdowns < 30  # 14 of the 300 at the time of writing
+    assert breakdowns < 30  # 7 of the 300 at the time of writing
 
 
 def test_weak_duality_on_random_optima():

@@ -10,6 +10,7 @@ import textwrap
 import numpy as np
 import pytest
 
+from gridctl.graph_algorithms import Multigraph, is_cactus
 from gridctl.grid_model import (Branch, ControlSet, Flow, Generator, PowerGrid,
                                 check_feasible, flow_cost, net_outflow)
 from gridctl.lp_engine import LpStatus, solve_lp
@@ -467,6 +468,52 @@ def test_theorem_suite_random_cacti():
                 net_outflow(grid, flow, bus), abs=1e-8)
         res = check_electrical_feasibility(grid, shifted, native, tol=1e-8)
         assert res.feasible
+
+
+def assert_closed_walk(grid: PowerGrid, cycle: list[int]):
+    """Consecutive branches share a bus and the last meets the first."""
+    first, last = grid.branches[cycle[0]], grid.branches[cycle[-1]]
+    start = first.u if first.u in (last.u, last.v) else first.v
+    bus = start
+    for i in cycle:
+        assert bus in (grid.branches[i].u, grid.branches[i].v)
+        bus = grid.branches[i].other(bus)
+    assert bus == start
+
+
+def test_cactus_shift_raises_exactly_off_cacti():
+    # The shift relies on the fundamental cycles of a spanning forest being
+    # pairwise edge-disjoint exactly when the graph is a cactus. Parallel
+    # branches make 2-cycles; the controls cut random buses out.
+    rng = random.Random(4711)
+    shifted = rejected = 0
+    for _ in range(400):
+        n = rng.randint(2, 8)
+        edges = [(rng.randint(1, v - 1), v) for v in range(2, n + 1) if rng.random() < 0.9]
+        for _ in range(rng.randint(0, 4)):
+            edges.append(tuple(rng.sample(range(1, n + 1), 2)))
+        for _ in range(rng.randint(0, 2)):
+            if edges:
+                edges.append(rng.choice(edges))
+        grid = PowerGrid(range(1, n + 1), [Branch(u, v, rng.uniform(0.2, 8.0)) for u, v in edges],
+                         {}, {})
+        flow = Flow(grid, [rng.uniform(-20.0, 20.0) for _ in edges])
+        controls = [b for b in grid.buses if rng.random() < 0.2]
+        native = set(grid.buses) - set(controls)
+        sub = Multigraph(native, [(u, v) for u, v in edges if u in native and v in native])
+        res = check_electrical_feasibility(grid, flow, native)
+        if not res.feasible:
+            assert_closed_walk(grid, res.violated_cycle)
+        try:
+            new_flow, _violations = cactus_equivalent_flow(grid, controls, flow)
+        except NotACactus:
+            assert not is_cactus(sub)
+            rejected += 1
+            continue
+        assert is_cactus(sub)
+        assert check_electrical_feasibility(grid, new_flow, native, tol=1e-8).feasible
+        shifted += 1
+    assert shifted > 100 and rejected > 100
 
 
 # -- block decomposition vs whole-graph angle recovery (cutvertex argument) ------
