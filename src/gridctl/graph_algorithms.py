@@ -2,11 +2,17 @@
 
 All algorithms work on undirected multigraphs; parallel edges between the same
 pair of vertices form a 2-cycle (which a forest must not contain but a cactus
-may). The feedback-set and vertex-cover searches are exact: each first
-shrinks the graph with kernel rules that keep the optimum size, then runs a
+may). One Hopcroft-Tarjan walk (``_blocks``) finds the blocks of the subgraph
+that a set of alive vertices induces; a block of two or more edges is a cycle
+when it has as many edges as vertices and complex when it has more. The
+feedback-set and vertex-cover searches are exact: each first shrinks the
+graph with kernel rules that keep the optimum size, then runs a
 branch-and-bound seeded by a greedy incumbent, and checks the set it returns
-on the original graph. Tie-breaks always prefer the lowest vertex index, so
-results are deterministic.
+on the original graph, raising ``RuntimeError`` if the check fails. The
+feedback search finds its obstructions in place on each node's alive
+vertices, copying no subgraph, and its packing bound starts from the
+obstruction the node branches on. Tie-breaks always prefer the lowest vertex
+index, so results are deterministic.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator
 
 
 class Multigraph:
@@ -71,92 +77,79 @@ class BlockDecomposition:
     cutvertices: frozenset[int]
 
 
-def _classify(graph: Multigraph, edge_indices: frozenset[int], vertices: frozenset[int]) -> BlockKind:
-    if len(edge_indices) == 1:
-        return BlockKind.SINGLE_EDGE
-    if len(edge_indices) != len(vertices):
-        return BlockKind.COMPLEX
-    deg: Counter = Counter()
-    for i in edge_indices:
-        u, v = graph.edges[i]
-        deg[u] += 1
-        deg[v] += 1
-    if all(deg[v] == 2 for v in vertices):
-        return BlockKind.CYCLE
-    return BlockKind.COMPLEX
+def _blocks(graph: Multigraph, alive: set[int]) -> Iterator[list[int]]:
+    """Edge lists of the blocks of the subgraph that `alive` induces.
+
+    One iterative Hopcroft-Tarjan walk: roots in vertex order, neighbours in
+    edge order, dead neighbours skipped. Blocks come out in the order the
+    walk closes them.
+    """
+    disc: dict[int, int] = {}
+    low: dict[int, int] = {}
+    for root in graph.vertices:
+        if root in disc or root not in alive:
+            continue
+        disc[root] = low[root] = len(disc)
+        # frame: (vertex, tree edge that reached it, neighbour iterator)
+        frames = [(root, -1, iter(graph.neighbors(root)))]
+        edge_stack: list[int] = []
+        while frames:
+            v, parent_edge, nbrs = frames[-1]
+            for ei, w in nbrs:
+                if ei == parent_edge or w not in alive:
+                    continue
+                if w not in disc:
+                    edge_stack.append(ei)
+                    disc[w] = low[w] = len(disc)
+                    frames.append((w, ei, iter(graph.neighbors(w))))
+                    break
+                if disc[w] < disc[v]:
+                    edge_stack.append(ei)
+                    if disc[w] < low[v]:
+                        low[v] = disc[w]
+            else:
+                frames.pop()
+                if not frames:
+                    continue
+                u = frames[-1][0]
+                if low[v] < low[u]:
+                    low[u] = low[v]
+                if low[v] >= disc[u]:
+                    members = []
+                    while True:
+                        ei = edge_stack.pop()
+                        members.append(ei)
+                        if ei == parent_edge:
+                            break
+                    yield members
 
 
-def _make_block(graph: Multigraph, edge_indices: Sequence[int]) -> Block:
-    eset = frozenset(edge_indices)
-    vs: set[int] = set()
-    for i in eset:
-        u, v = graph.edges[i]
-        vs.add(u)
-        vs.add(v)
-    vset = frozenset(vs)
-    return Block(eset, vset, _classify(graph, eset, vset))
+def _block_vertices(graph: Multigraph, edge_indices: list[int]) -> set[int]:
+    return {x for i in edge_indices for x in graph.edges[i]}
 
 
 def biconnected_components(graph: Multigraph) -> BlockDecomposition:
     """Block-cutvertex decomposition (iterative Hopcroft-Tarjan).
 
     Every edge lands in exactly one block; parallel edges between one pair
-    form a 2-cycle block. Isolated vertices belong to no block.
+    form a 2-cycle block. Isolated vertices belong to no block. A block of
+    two or more edges is 2-connected, so it has at least as many edges as
+    vertices, with equality only for a cycle (an ear decomposition adds an
+    ear of k edges and k - 1 vertices at a time). A cut vertex is one that
+    lies in two or more blocks.
     """
-    disc: dict[int, int] = {}
-    low: dict[int, int] = {}
     blocks: list[Block] = []
+    seen: set[int] = set()
     cutvertices: set[int] = set()
-    clock = 0
-
-    for root in graph.vertices:
-        if root in disc or graph.degree(root) == 0:
-            continue
-        disc[root] = low[root] = clock
-        clock += 1
-        # frame: [vertex, tree edge that reached it, neighbor cursor]
-        frames: list[list] = [[root, -1, 0]]
-        edge_stack: list[int] = []
-        root_children = 0
-
-        while frames:
-            frame = frames[-1]
-            v, parent_edge, cursor = frame
-            nbrs = graph.neighbors(v)
-            if cursor < len(nbrs):
-                frame[2] += 1
-                ei, w = nbrs[cursor]
-                if ei == parent_edge:
-                    continue
-                if w not in disc:
-                    edge_stack.append(ei)
-                    disc[w] = low[w] = clock
-                    clock += 1
-                    if v == root:
-                        root_children += 1
-                    frames.append([w, ei, 0])
-                elif disc[w] < disc[v]:
-                    edge_stack.append(ei)
-                    if disc[w] < low[v]:
-                        low[v] = disc[w]
-                continue
-            frames.pop()
-            if not frames:
-                continue
-            u = frames[-1][0]
-            if low[v] < low[u]:
-                low[u] = low[v]
-            if low[v] >= disc[u]:
-                members = []
-                while True:
-                    ei = edge_stack.pop()
-                    members.append(ei)
-                    if ei == parent_edge:
-                        break
-                blocks.append(_make_block(graph, members))
-                if u != root or root_children > 1:
-                    cutvertices.add(u)
-
+    for members in _blocks(graph, set(graph.vertices)):
+        vs = _block_vertices(graph, members)
+        cutvertices |= seen & vs
+        seen |= vs
+        if len(members) == 1:
+            kind = BlockKind.SINGLE_EDGE
+        else:
+            kind = BlockKind.COMPLEX if len(members) > len(vs) else BlockKind.CYCLE
+        blocks.append(Block(frozenset(members), frozenset(vs), kind))
     return BlockDecomposition(tuple(blocks), frozenset(cutvertices))
 
 
@@ -188,46 +181,36 @@ class VertexSetResult:
 # ---------------------------------------------------------------------------
 
 
-def _adjacency(graph: Multigraph, alive: set[int], banned_edges: frozenset[int] = frozenset()):
-    adj: dict[int, list[tuple[int, int]]] = {v: [] for v in alive}
-    for v in alive:
-        for ei, w in graph.neighbors(v):
-            if w in alive and ei not in banned_edges:
-                adj[v].append((ei, w))
-    return adj
-
-
 def _shortest_cycle(graph: Multigraph, alive: set[int]) -> list[int] | None:
     """Vertex list of a shortest cycle in the induced subgraph, or None."""
     # parallel pair = 2-cycle
     best: list[int] | None = None
-    for v in sorted(alive):
-        seen: Counter = Counter()
-        for ei, w in graph.neighbors(v):
-            if w in alive and w > v:
-                seen[w] += 1
-        for w, k in sorted(seen.items()):
-            if k >= 2:
-                return [v, w]
-    adj = _adjacency(graph, alive)
-    for src in sorted(alive):
+    order = sorted(alive)
+    for v in order:
+        once: set[int] = set()
+        twice: set[int] = set()
+        for _ei, w in graph.neighbors(v):
+            if w > v and w in alive:
+                (twice if w in once else once).add(w)
+        if twice:
+            return [v, min(twice)]
+    for src in order:
         dist = {src: 0}
         parent: dict[int, tuple[int, int]] = {}
         queue = [src]
-        qi = 0
-        while qi < len(queue):
-            x = queue[qi]
-            qi += 1
-            if best is not None and dist[x] + 1 >= len(best):
+        for x in queue:
+            dx = dist[x]
+            if best is not None and dx + 1 >= len(best):
                 break
-            for ei, y in adj[x]:
-                if y not in dist:
-                    dist[y] = dist[x] + 1
-                    parent[y] = (ei, x)
-                    queue.append(y)
-                elif (parent.get(x, (None, None))[0] != ei
-                      and parent.get(y, (None, None))[0] != ei
-                      and dist[y] >= dist[x]):
+            into_x = parent.get(x, (None, None))[0]
+            for ei, y in graph.neighbors(x):
+                dy = dist.get(y)
+                if dy is None:
+                    if y in alive:
+                        dist[y] = dx + 1
+                        parent[y] = (ei, x)
+                        queue.append(y)
+                elif dy >= dx and ei != into_x and ei != parent.get(y, (None, None))[0]:
                     # non-tree edge; root paths in a BFS tree meet in a common
                     # suffix, so cutting both at the first shared vertex gives
                     # a simple cycle
@@ -251,81 +234,72 @@ def _path_to_root(parent: dict[int, tuple[int, int]], v: int) -> list[int]:
     return path
 
 
-def _bfs_path(adj, src: int, dst: int) -> list[int] | None:
-    if src == dst:
-        return [src]
-    prev = {src: None}
+def _bfs_path(graph: Multigraph, block: set[int], banned: tuple[int, ...],
+              src: int, dst: int) -> tuple[list[int], list[int]] | None:
+    """Vertices and edges of a shortest src-dst path inside `block` that
+    uses no `banned` edge, or None."""
+    prev: dict[int, tuple[int, int] | None] = {src: None}
     queue = [src]
-    qi = 0
-    while qi < len(queue):
-        x = queue[qi]
-        qi += 1
-        for _ei, y in adj[x]:
-            if y not in prev:
-                prev[y] = x
-                if y == dst:
-                    path = [y]
-                    while path[-1] != src:
-                        path.append(prev[path[-1]])
-                    return path[::-1]
-                queue.append(y)
+    for x in queue:
+        for ei, y in graph.neighbors(x):
+            if y in prev or y not in block or ei in banned:
+                continue
+            prev[y] = (x, ei)
+            if y == dst:
+                path, edges = [y], []
+                while path[-1] != src:
+                    w, e = prev[path[-1]]
+                    path.append(w)
+                    edges.append(e)
+                return path[::-1], edges
+            queue.append(y)
     return None
 
 
 def _cactus_obstruction(graph: Multigraph, alive: set[int]) -> list[int] | None:
-    """Vertices of two cycles sharing an edge, or None if already a cactus."""
-    sub = graph.without_vertices(set(graph.vertices) - alive)
-    decomp = biconnected_components(sub)
-    complex_blocks = [b for b in decomp.blocks if b.kind is BlockKind.COMPLEX]
-    if not complex_blocks:
-        return None
-    block = min(complex_blocks, key=lambda b: min(b.vertices))
-    block_alive = set(block.vertices)
-    e0 = min(block.edge_indices)
-    u, v = sub.edges[e0]
-    adj1 = _adjacency(sub, block_alive, frozenset([e0]))
-    path1 = _bfs_path(adj1, u, v)
-    if path1 is None:  # e0 is a bridge inside the block: impossible for complex
-        return None
-    cycle1 = path1  # closing edge e0 implied
-    cycle1_edges = set()
-    for a, b in zip(path1, path1[1:]):
-        for ei, w in sub.neighbors(a):
-            if w == b and ei != e0:
-                cycle1_edges.add(ei)
-                break
-    for g in sorted(cycle1_edges):
-        adj2 = _adjacency(sub, block_alive, frozenset([e0, g]))
-        path2 = _bfs_path(adj2, u, v)
-        if path2 is not None:
-            return sorted(set(cycle1) | set(path2))
-    # parallel copy of e0 gives a second cycle [u, v]
-    for ei, w in sub.neighbors(u):
-        if w == v and ei != e0:
-            return sorted(set(cycle1) | {u, v})
-    return None
+    """Vertices of two cycles sharing an edge, or None if already a cactus.
 
-
-def _forest_obstruction(graph: Multigraph, alive: set[int]) -> list[int] | None:
-    return _shortest_cycle(graph, alive)
+    Reads the subgraph that `alive` induces in place. It takes the complex
+    block (more edges than vertices) with the lowest vertex, the first on a
+    tie; its lowest edge e0 = uv closes a shortest cycle C. With e0 and one
+    other edge g of C banned, lowest g first, a u-v path that is left closes
+    a second cycle sharing e0 with C. Some g always works: the first ear of
+    the block beyond C joins two vertices of C, and any g between them will
+    do.
+    """
+    block: set[int] | None = None
+    for members in _blocks(graph, alive):
+        vs = _block_vertices(graph, members)
+        if len(members) > len(vs) and (block is None or min(vs) < min(block)):
+            block, e0 = vs, min(members)
+    if block is None:
+        return None
+    u, v = graph.edges[e0]
+    cycle, cycle_edges = _bfs_path(graph, block, (e0,), u, v)
+    for g in sorted(cycle_edges):
+        second = _bfs_path(graph, block, (e0, g), u, v)
+        if second is not None:
+            return sorted(set(cycle) | set(second[0]))
+    raise RuntimeError("no second cycle found in a complex block")
 
 
 def _obstruction(graph: Multigraph, alive: set[int], target: TargetClass) -> list[int] | None:
     if target is TargetClass.FOREST:
-        return _forest_obstruction(graph, alive)
+        return _shortest_cycle(graph, alive)
     return _cactus_obstruction(graph, alive)
 
 
-def _packing_bound(graph: Multigraph, alive: set[int], target: TargetClass) -> int:
-    """Greedy count of vertex-disjoint obstructions: a feedback-set lower bound."""
+def _packing_bound(graph: Multigraph, alive: set[int], target: TargetClass,
+                   obs: list[int]) -> int:
+    """Greedy count of vertex-disjoint obstructions, starting from `obs`, an
+    obstruction of `alive`: a feedback-set lower bound."""
     rest = set(alive)
     count = 0
-    while True:
-        obs = _obstruction(graph, rest, target)
-        if obs is None:
-            return count
+    while obs is not None:
         count += 1
-        rest -= set(obs)
+        rest.difference_update(obs)
+        obs = _obstruction(graph, rest, target)
+    return count
 
 
 # ---------------------------------------------------------------------------
@@ -394,16 +368,18 @@ def min_feedback_set(graph: Multigraph, target: TargetClass) -> VertexSetResult:
 
     Exact: the search runs on the kernel of ``_feedback_kernel``, starts from
     a greedy incumbent, and branches on obstructions (a shortest cycle for a
-    forest, two cycles sharing an edge for a cactus), pruning with a packing
-    of vertex-disjoint obstructions as the lower bound. The returned set is
-    checked against the target class on the original graph.
+    forest, two cycles sharing an edge for a cactus). Each obstruction is
+    found in place on the node's alive vertices, with no subgraph copy. A
+    node prunes with a packing of vertex-disjoint obstructions as the lower
+    bound; the packing starts from the obstruction the node branches on.
+    The returned set is checked against the target class on the original
+    graph, and a set that fails raises ``RuntimeError``.
     """
     kernel = _feedback_kernel(graph)
-    best = _greedy_feedback(kernel, target)
-    alive = set(kernel.vertices)
-    if len(best) > _packing_bound(kernel, alive, target):
-        best = _branch_and_bound_feedback(kernel, alive, target, best)
-    assert target.check(graph.without_vertices(best)), "feedback verifier failed"
+    best = _branch_and_bound_feedback(kernel, set(kernel.vertices), target,
+                                      _greedy_feedback(kernel, target))
+    if not target.check(graph.without_vertices(best)):
+        raise RuntimeError(f"feedback set {sorted(best)} leaves no {target.value}")
     return VertexSetResult(frozenset(best))
 
 
@@ -423,7 +399,7 @@ def _branch_and_bound_feedback(graph: Multigraph, alive: set[int],
             continue
         if len(chosen) + 1 >= len(best):
             continue
-        bound = len(chosen) + _packing_bound(graph, rest, target)
+        bound = len(chosen) + _packing_bound(graph, rest, target, obs)
         if bound >= len(best):
             continue
         # branch: first obstruction vertex picked is obs[i]; obs[:i] stay out
@@ -514,7 +490,8 @@ def min_vertex_cover(graph: Multigraph) -> VertexSetResult:
     if len(found) > _matching_bound(rest):
         found = _branch_and_bound_cover(rest, found)
     best = forced | found
-    assert all(u in best or v in best for u, v in edges), "cover verifier failed"
+    if not all(u in best or v in best for u, v in edges):
+        raise RuntimeError(f"vertex set {sorted(best)} leaves an edge uncovered")
     return VertexSetResult(frozenset(best))
 
 

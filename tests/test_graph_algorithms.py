@@ -1,12 +1,21 @@
 from __future__ import annotations
 
+import os
+import random
+import subprocess
+import sys
+import textwrap
+from collections import Counter
 from itertools import combinations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gridctl.graph_algorithms as ga
 from gridctl.graph_algorithms import (BlockKind, Multigraph, TargetClass,
-                                      _feedback_kernel, biconnected_components,
+                                      _cactus_obstruction, _feedback_kernel,
+                                      _shortest_cycle, biconnected_components,
                                       is_cactus, is_forest, min_feedback_set,
                                       min_vertex_cover)
 
@@ -176,8 +185,79 @@ def test_blocks_match_brute_force_on_random_graphs(pairs):
     if not edges:
         return
     g = graph(edges)
-    mine = {frozenset(b.edge_indices) for b in biconnected_components(g).blocks}
-    assert mine == brute_blocks(g)
+    d = biconnected_components(g)
+    assert {frozenset(b.edge_indices) for b in d.blocks} == brute_blocks(g)
+    for b in d.blocks:
+        deg = Counter(x for i in b.edge_indices for x in g.edges[i])
+        if len(b.edge_indices) == 1:
+            kind = BlockKind.SINGLE_EDGE
+        elif all(deg[v] == 2 for v in b.vertices):
+            kind = BlockKind.CYCLE
+        else:
+            kind = BlockKind.COMPLEX
+        assert b.kind is kind
+    # a cut vertex is one whose removal splits its component
+    n_comps = len(components(g.vertices, g.edges))
+    assert d.cutvertices == {v for v in g.vertices
+                             if len(components(set(g.vertices) - {v}, g.edges)) > n_comps}
+
+
+# -- obstructions ------------------------------------------------------------
+
+def induced(g: Multigraph, alive) -> Multigraph:
+    return g.without_vertices(set(g.vertices) - set(alive))
+
+
+def brute_girth(g: Multigraph) -> int | None:
+    """Shortest cycle length: min over edges uv of 1 + dist(u, v) without uv."""
+    best = None
+    for i, (u, v) in enumerate(g.edges):
+        rest = [e for j, e in enumerate(g.edges) if j != i]
+        dist, frontier = 0, {u}
+        seen = {u}
+        while frontier and v not in frontier:
+            dist += 1
+            frontier = {y for x in frontier for a, b in rest for y in (a, b)
+                        if x in (a, b) and y != x and y not in seen}
+            seen |= frontier
+        if v in frontier and (best is None or dist + 1 < best):
+            best = dist + 1
+    return best
+
+
+def random_multigraph(rng: random.Random) -> Multigraph:
+    """At most 8 vertices; about one edge in five gets a parallel copy."""
+    n = rng.randint(2, 8)
+    edges = []
+    for _ in range(rng.randint(1, 2 * n)):
+        u, v = rng.sample(range(n), 2)
+        edges.append((u, v))
+        if rng.random() < 0.2:
+            edges.append((v, u))
+    return Multigraph(range(n), edges)
+
+
+def test_obstruction_contracts_on_random_induced_subgraphs():
+    rng = random.Random(1973)
+    for _ in range(2000):
+        g = random_multigraph(rng)
+        alive = {v for v in g.vertices if rng.random() < 0.8}
+        h = induced(g, alive)
+
+        obs = _cactus_obstruction(g, set(alive))
+        assert (obs is None) == is_cactus(h)
+        if obs is not None:
+            assert set(obs) <= alive and not is_cactus(induced(g, obs))
+
+        cycle = _shortest_cycle(g, set(alive))
+        is_forest_h = len(h.edges) == len(h.vertices) - len(components(h.vertices, h.edges))
+        assert (cycle is None) == is_forest_h
+        if cycle is not None:
+            assert set(cycle) <= alive and len(set(cycle)) == len(cycle) >= 2
+            for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+                joining = sum(1 for e in h.edges if set(e) == {a, b})
+                assert joining >= (2 if len(cycle) == 2 else 1)
+            assert len(cycle) == brute_girth(h)
 
 
 # -- forest / cactus ---------------------------------------------------------
@@ -226,6 +306,52 @@ def test_forest_feedback_at_least_cactus_feedback():
         f = min_feedback_set(g, TargetClass.FOREST)
         c = min_feedback_set(g, TargetClass.CACTUS)
         assert len(f.vertices) >= len(c.vertices)
+
+
+CACTUS_SIZES = {"case6ww": 1, "case9": 0, "case14": 2, "case30": 2, "case39": 2, "case57": 5}
+
+
+def test_ieee_cactus_sets_are_minimum():
+    for name, size in CACTUS_SIZES.items():
+        grid = get_case(name)
+        g = Multigraph(grid.buses, grid.edges())
+        found = min_feedback_set(g, TargetClass.CACTUS).vertices
+        assert len(found) == size, name
+        assert is_cactus(g.without_vertices(found)), name
+        if name != "case57" and size > 0:
+            # no set with one vertex fewer leaves a cactus
+            assert not any(is_cactus(g.without_vertices(vs))
+                           for vs in combinations(g.vertices, size - 1)), name
+
+
+def test_corrupted_search_results_raise(monkeypatch):
+    # an empty incumbent ends the search at once, and K4 is no forest
+    monkeypatch.setattr(ga, "_greedy_feedback", lambda graph, target: set())
+    with pytest.raises(RuntimeError, match="feedback set"):
+        min_feedback_set(K4, TargetClass.FOREST)
+    monkeypatch.setattr(ga, "_greedy_cover", lambda edges: set())
+    monkeypatch.setattr(ga, "_matching_bound", lambda edges: 0)
+    with pytest.raises(RuntimeError, match="uncovered"):
+        min_vertex_cover(K4)
+
+
+def test_result_checks_survive_python_O():
+    script = textwrap.dedent("""
+        from itertools import combinations
+        import gridctl.graph_algorithms as ga
+        if __debug__:
+            raise SystemExit("assert statements are still on")
+        k4 = ga.Multigraph(range(4), combinations(range(4), 2))
+        ga._greedy_feedback = lambda graph, target: set()
+        try:
+            ga.min_feedback_set(k4, ga.TargetClass.FOREST)
+        except RuntimeError:
+            print("raised")
+    """)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ga.__file__)))
+    done = subprocess.run([sys.executable, "-O", "-c", script], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert done.stdout.strip() == "raised"
 
 
 @settings(max_examples=40, deadline=None)
