@@ -5,14 +5,16 @@ pair of vertices form a 2-cycle (which a forest must not contain but a cactus
 may). One Hopcroft-Tarjan walk (``_blocks``) finds the blocks of the subgraph
 that a set of alive vertices induces; a block of two or more edges is a cycle
 when it has as many edges as vertices and complex when it has more. The
-feedback-set and vertex-cover searches are exact: each first shrinks the
-graph with kernel rules that keep the optimum size, then runs a
-branch-and-bound seeded by a greedy incumbent, and checks the set it returns
-on the original graph, raising ``RuntimeError`` if the check fails. The
-feedback search finds its obstructions in place on each node's alive
-vertices, copying no subgraph, and its packing bound starts from the
-obstruction the node branches on. Tie-breaks always prefer the lowest vertex
-index, so results are deterministic.
+feedback-set and vertex-cover searches are exact, and each checks the set it
+returns on the original graph, raising ``RuntimeError`` if the check fails.
+The feedback search shrinks the graph with kernel rules that keep the
+optimum size, then runs a branch-and-bound seeded by a greedy incumbent; it
+finds its obstructions in place on each node's alive vertices, copying no
+subgraph, and its packing bound starts from the obstruction the node
+branches on. The vertex-cover search is one depth-first search that applies
+the leaf rule at every node and branches on a vertex or its whole
+neighbourhood. Tie-breaks always prefer the lowest vertex index, so results
+are deterministic.
 """
 
 from __future__ import annotations
@@ -58,7 +60,6 @@ class Multigraph:
 
 
 class BlockKind(Enum):
-    TRIVIAL = "trivial"
     SINGLE_EDGE = "single-edge"
     CYCLE = "cycle"
     COMPLEX = "complex"
@@ -422,24 +423,6 @@ def _cover_edges(graph: Multigraph) -> list[tuple[int, int]]:
     return sorted({(min(u, v), max(u, v)) for u, v in graph.edges})
 
 
-def _greedy_cover(edges: list[tuple[int, int]]) -> set[int]:
-    adj: dict[int, set[int]] = {}
-    for u, v in edges:
-        adj.setdefault(u, set()).add(v)
-        adj.setdefault(v, set()).add(u)
-    cover: set[int] = set()
-    while any(adj.values()):
-        v = max(sorted(adj), key=lambda x: len(adj[x]))
-        cover.add(v)
-        for w in adj.pop(v):
-            adj[w].discard(v)
-    for v in sorted(cover):  # trim redundancy
-        trial = cover - {v}
-        if all(u in trial or w in trial for u, w in edges):
-            cover = trial
-    return cover
-
-
 def _matching_bound(edges: list[tuple[int, int]]) -> int:
     used: set[int] = set()
     count = 0
@@ -478,68 +461,32 @@ def _forced_cover(edges: list[tuple[int, int]]) -> set[int]:
 def min_vertex_cover(graph: Multigraph) -> VertexSetResult:
     """Minimum vertex cover, exact.
 
-    Neighbours of leaves are forced into the cover first (``_forced_cover``);
-    a branch-and-bound with a matching lower bound, seeded by a greedy cover,
-    covers the edges left. The result is verified: every edge has a covered
-    endpoint.
+    One depth-first search over the uncovered edges. At each node the
+    neighbours of leaves join the cover (``_forced_cover``), and the node is
+    pruned when its set plus a matching of the open edges cannot beat the
+    best cover found so far. Otherwise it branches on the open vertex of
+    highest degree, the lowest on a tie: a cover holds v or every neighbour
+    of v, and the child that takes v is searched first. The result is
+    checked on the graph's edges, and a set that leaves one uncovered raises
+    ``RuntimeError``.
     """
-    edges = _cover_edges(graph)
-    forced = _forced_cover(edges)
-    rest = [(u, v) for u, v in edges if u not in forced and v not in forced]
-    found = _greedy_cover(rest)
-    if len(found) > _matching_bound(rest):
-        found = _branch_and_bound_cover(rest, found)
-    best = forced | found
-    if not all(u in best or v in best for u, v in edges):
-        raise RuntimeError(f"vertex set {sorted(best)} leaves an edge uncovered")
-    return VertexSetResult(frozenset(best))
-
-
-def _branch_and_bound_cover(edges: list[tuple[int, int]], incumbent: set[int]) -> set[int]:
-    best = set(incumbent)
-    stack: list[tuple[frozenset[int], frozenset[int]]] = [(frozenset(), frozenset())]
-    adj_full: dict[int, set[int]] = {}
-    for u, v in edges:
-        adj_full.setdefault(u, set()).add(v)
-        adj_full.setdefault(v, set()).add(u)
-
+    best: frozenset[int] | None = None
+    stack = [(frozenset(), _cover_edges(graph))]
     while stack:
-        chosen, excluded = stack.pop()
-        if len(chosen) >= len(best):
+        chosen, edges = stack.pop()
+        forced = _forced_cover(edges)
+        chosen |= forced
+        edges = [(u, v) for u, v in edges if u not in forced and v not in forced]
+        if best is not None and len(chosen) + _matching_bound(edges) >= len(best):
             continue
-        chosen = set(chosen)
-        # reductions: an excluded vertex forces all its uncovered neighbors in
-        changed = True
-        dead = False
-        while changed:
-            changed = False
-            for v in sorted(excluded):
-                for w in adj_full[v]:
-                    if w in chosen:
-                        continue
-                    if w in excluded:
-                        dead = True
-                        break
-                    chosen.add(w)
-                    changed = True
-                if dead:
-                    break
-            if dead or len(chosen) >= len(best):
-                dead = True
-                break
-        if dead:
+        if not edges:
+            best = chosen
             continue
-        open_edges = [(u, v) for u, v in edges if u not in chosen and v not in chosen]
-        if not open_edges:
-            best = set(chosen)
-            continue
-        if len(chosen) + _matching_bound(open_edges) >= len(best):
-            continue
-        deg: Counter = Counter()
-        for u, v in open_edges:
-            deg[u] += 1
-            deg[v] += 1
-        v = max(sorted(deg), key=lambda x: deg[x])
-        stack.append((frozenset(chosen), frozenset(excluded | {v})))
-        stack.append((frozenset(chosen | {v}), frozenset(excluded)))
-    return best
+        degree = Counter(x for edge in edges for x in edge)
+        v = min(degree, key=lambda x: (-degree[x], x))
+        nbrs = {x for edge in edges if v in edge for x in edge} - {v}
+        stack.append((chosen | nbrs, [(a, b) for a, b in edges if a not in nbrs and b not in nbrs]))
+        stack.append((chosen | {v}, [(a, b) for a, b in edges if v != a and v != b]))
+    if not all(u in best or v in best for u, v in graph.edges):
+        raise RuntimeError(f"vertex set {sorted(best)} leaves an edge uncovered")
+    return VertexSetResult(best)

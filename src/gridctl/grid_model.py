@@ -29,7 +29,7 @@ class DomainExceeded(ValueError):
     """Generator production outside its cost curve's domain."""
 
 
-_DOMAIN_TOL = 1e-6  # production may leave a cost curve's domain by this, relative
+_DOMAIN_TOL = 1e-6  # production may leave its domain by this times check_feasible's bus scale
 
 
 @dataclass(frozen=True)
@@ -256,7 +256,8 @@ def flow_cost(grid: PowerGrid, flow: Flow, lam: float) -> CostBreakdown:
     c_g = 0.0
     for bus, gen in sorted(grid.generators.items()):
         production = net_outflow(grid, flow, bus) + grid.demand(bus)
-        slack = _DOMAIN_TOL * (1 + gen.capacity)
+        lo, hi = grid.net_outflow_bounds(bus)
+        slack = _DOMAIN_TOL * (1 + max(abs(lo), abs(hi)))
         if production < -slack or production > gen.cost.domain_max + slack:
             raise DomainExceeded(
                 f"bus {bus}: production {production:.6g} outside [0, {gen.cost.domain_max:.6g}]")

@@ -10,19 +10,19 @@ equals its forward segments minus its backward ones in one linking row, so
 the loss is charged at |f|. Because the slopes increase, an optimum fills
 the cheaper segments first, and the LP objective is the cost itself.
 
-The electrical and hybrid models add one voltage-angle variable per bus and
-the DC coupling row
+Every native bus, one without a flow controller, has a voltage-angle
+variable, and every branch whose two endpoints are both native has the DC
+coupling row
 
-    f(u,v) = B(u,v) * (theta_u - theta_v)
+    f(u,v) = B(u,v) * (theta_u - theta_v).
 
-on exactly the branches whose two endpoints both lack a flow controller. One
-breadth-first spanning forest of the native (controller-free) subgraph serves
-the gauge, the angle check of a fixed flow and the cactus shift: each tree's
-root, its component's lowest bus, has its angle pinned to zero, and each
-native branch off the forest closes one fundamental cycle. The cycles are
-pairwise edge-disjoint exactly when the native subgraph is a cactus. The flow
-model is the hybrid model with every bus controlled, the electrical model the
-hybrid model with none.
+One breadth-first spanning forest of the native subgraph serves the gauge,
+the angle check of a fixed flow and the cactus shift: each tree's root, its
+component's lowest bus, has its angle pinned to zero, and each native branch
+off the forest closes one fundamental cycle. The cycles are pairwise
+edge-disjoint exactly when the native subgraph is a cactus. The flow model
+is the hybrid model with every bus controlled, so it has no angles, and the
+electrical model is the hybrid model with none.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ class ModelKind:
             return ControlSet(grid.buses)
         if self.name == "electrical":
             return ControlSet()
-        return self.controls
+        return ControlSet.validated(self.controls, grid)
 
     def native_vertices(self, grid: PowerGrid) -> set[int]:
         return set(grid.buses) - self.control_set(grid)
@@ -110,14 +110,12 @@ def build_lp(grid: PowerGrid, kind: ModelKind, lam: float) -> tuple[LinearProgra
     lp = LinearProgram()
     vmap = VariableMap()
     native = kind.native_vertices(grid)
-    with_theta = kind.name != "flow"
 
     for i, br in enumerate(grid.branches):
         cap = br.capacity
         vmap.flow_var[i] = lp.add_variable(f"f_{br.u}_{br.v}_{i}", -cap, cap)
-    if with_theta:
-        for bus in grid.buses:
-            vmap.theta_var[bus] = lp.add_variable(f"theta_{bus}", -math.inf, math.inf)
+    for bus in sorted(native):
+        vmap.theta_var[bus] = lp.add_variable(f"theta_{bus}", -math.inf, math.inf)
 
     objective: dict[int, float] = {}
     constant = 0.0
@@ -150,17 +148,16 @@ def build_lp(grid: PowerGrid, kind: ModelKind, lam: float) -> tuple[LinearProgra
         vmap.balance_rows[bus] = rows
 
     # DC coupling on branches with both endpoints native
-    if with_theta:
-        for i, br in enumerate(grid.branches):
-            if br.u not in native or br.v not in native:
-                continue
-            coeffs = {vmap.flow_var[i]: 1.0,
-                      vmap.theta_var[br.u]: -br.susceptance,
-                      vmap.theta_var[br.v]: +br.susceptance}
-            vmap.coupling_row[i] = lp.add_constraint(coeffs, "=", 0.0)
-        roots, _tree = _native_forest(grid, native)
-        for root in roots:
-            lp.add_constraint({vmap.theta_var[root]: 1.0}, "=", 0.0)
+    for i, br in enumerate(grid.branches):
+        if br.u not in native or br.v not in native:
+            continue
+        coeffs = {vmap.flow_var[i]: 1.0,
+                  vmap.theta_var[br.u]: -br.susceptance,
+                  vmap.theta_var[br.v]: +br.susceptance}
+        vmap.coupling_row[i] = lp.add_constraint(coeffs, "=", 0.0)
+    roots, _tree = _native_forest(grid, native)
+    for root in roots:
+        lp.add_constraint({vmap.theta_var[root]: 1.0}, "=", 0.0)
 
     # loss at |f| on a lossy branch: f = sum_k p_k - sum_k m_k over the loss
     # segments in both directions; the slopes increase, so an optimum fills
@@ -232,7 +229,7 @@ def _fundamental_cycle(grid: PowerGrid, tree: dict[int, tuple[int, int]],
 @dataclass
 class ModelSolution:
     flow: Flow
-    theta: dict[int, float] | None
+    theta: dict[int, float]  # the native buses' angles; empty for the flow model
     costs: CostBreakdown
     objective: float  # LP objective (equals costs.weighted up to tolerance)
     kind: ModelKind
@@ -242,7 +239,7 @@ def solve_model(grid: PowerGrid, kind: ModelKind, lam: float) -> ModelSolution:
     """Solve the dispatch LP and lift the solution back onto the grid.
 
     Raises InfeasibleModel when no feasible flow exists (the interesting
-    outcome under load scaling). For non-flow models the recovered angles are
+    outcome under load scaling). The recovered angles of the native buses are
     checked against the DC coupling on every native branch.
     """
     lp, vmap = build_lp(grid, kind, lam)
@@ -253,15 +250,13 @@ def solve_model(grid: PowerGrid, kind: ModelKind, lam: float) -> ModelSolution:
         raise lp_engine.NumericalBreakdown(f"unexpected LP status {sol.status}")
 
     flow = Flow(grid, [sol.values[vmap.flow_var[i]] for i in range(len(grid.branches))])
-    theta = None
-    if kind.name != "flow":
-        theta = {bus: float(sol.values[col]) for bus, col in vmap.theta_var.items()}
-        for i in vmap.coupling_row:
-            br = grid.branches[i]
-            resid = abs(flow.values[i] - br.susceptance * (theta[br.u] - theta[br.v]))
-            if resid > 1e-5 * (1.0 + abs(flow.values[i])):
-                raise lp_engine.NumericalBreakdown(
-                    f"coupling residual {resid:.2e} on branch {br.u}-{br.v}")
+    theta = {bus: float(sol.values[col]) for bus, col in vmap.theta_var.items()}
+    for i in vmap.coupling_row:
+        br = grid.branches[i]
+        resid = abs(flow.values[i] - br.susceptance * (theta[br.u] - theta[br.v]))
+        if resid > 1e-5 * (1.0 + abs(flow.values[i])):
+            raise lp_engine.NumericalBreakdown(
+                f"coupling residual {resid:.2e} on branch {br.u}-{br.v}")
     report = check_feasible(grid, flow, tol=1e-5)
     if not report.ok:
         raise lp_engine.NumericalBreakdown(

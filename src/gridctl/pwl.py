@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Callable, Sequence
 
 
@@ -42,11 +41,6 @@ class PiecewiseLinearConvex:
     @property
     def value_at_zero(self) -> float:
         return self(0.0)
-
-    def breakpoints(self) -> list[float]:
-        """Where each segment of ``segments()`` starts: 0, then every x in
-        (0, domain_max) where the active piece changes."""
-        return [0.0, *accumulate(width for width, _a in self.segments()[:-1])]
 
     def segments(self, cap: float | None = None) -> list[tuple[float, float]]:
         """(width, slope) of each linear segment covering [0, cap].

@@ -8,9 +8,11 @@ import textwrap
 from collections import Counter
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import Bounds, LinearConstraint, milp
 
 import gridctl.graph_algorithms as ga
 from gridctl.graph_algorithms import (BlockKind, Multigraph, TargetClass,
@@ -127,6 +129,20 @@ def brute_min_cover(g: Multigraph) -> int:
             if all(u in chosen or v in chosen for u, v in edges):
                 return size
     raise AssertionError("unreachable")
+
+
+def milp_min_cover(g: Multigraph) -> int:
+    """Size of a minimum vertex cover from the cover ILP, solved by HiGHS:
+    min sum x_v subject to x_u + x_v >= 1 on every edge, x binary."""
+    column = {v: k for k, v in enumerate(g.vertices)}
+    a = np.zeros((len(g.edges), len(g.vertices)))
+    for r, (u, v) in enumerate(g.edges):
+        a[r, column[u]] = a[r, column[v]] = 1.0
+    ones = np.ones(len(g.vertices))
+    res = milp(ones, constraints=LinearConstraint(a, lb=1.0), integrality=ones,
+               bounds=Bounds(0.0, 1.0))
+    assert res.status == 0, res.message
+    return round(res.fun)
 
 
 # -- blocks ------------------------------------------------------------------
@@ -329,8 +345,8 @@ def test_corrupted_search_results_raise(monkeypatch):
     monkeypatch.setattr(ga, "_greedy_feedback", lambda graph, target: set())
     with pytest.raises(RuntimeError, match="feedback set"):
         min_feedback_set(K4, TargetClass.FOREST)
-    monkeypatch.setattr(ga, "_greedy_cover", lambda edges: set())
-    monkeypatch.setattr(ga, "_matching_bound", lambda edges: 0)
+    # the cover search sees K4 without its edge 0-1, so {2, 3} is its optimum
+    monkeypatch.setattr(ga, "_cover_edges", lambda graph: sorted(graph.edges)[1:])
     with pytest.raises(RuntimeError, match="uncovered"):
         min_vertex_cover(K4)
 
@@ -343,15 +359,18 @@ def test_result_checks_survive_python_O():
             raise SystemExit("assert statements are still on")
         k4 = ga.Multigraph(range(4), combinations(range(4), 2))
         ga._greedy_feedback = lambda graph, target: set()
-        try:
-            ga.min_feedback_set(k4, ga.TargetClass.FOREST)
-        except RuntimeError:
-            print("raised")
+        ga._cover_edges = lambda graph: sorted(graph.edges)[1:]
+        for search in (lambda: ga.min_feedback_set(k4, ga.TargetClass.FOREST),
+                       lambda: ga.min_vertex_cover(k4)):
+            try:
+                search()
+            except RuntimeError:
+                print("raised")
     """)
     src = os.path.dirname(os.path.dirname(os.path.abspath(ga.__file__)))
     done = subprocess.run([sys.executable, "-O", "-c", script], env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, timeout=120, check=True)
-    assert done.stdout.strip() == "raised"
+    assert done.stdout.split() == ["raised", "raised"]
 
 
 @settings(max_examples=40, deadline=None)
@@ -475,6 +494,33 @@ def test_cover_exactness_on_random_graphs(pairs):
     g = graph(edges)
     res = min_vertex_cover(g)
     assert len(res.vertices) == brute_min_cover(g)
+
+
+COVER_SIZES = {"case6ww": 4, "case9": 3, "case14": 8, "case30": 16, "case39": 18,
+               "case57": 30, "case118": 61}
+
+
+def test_ieee_cover_sizes_match_the_cover_ilp():
+    for name, size in COVER_SIZES.items():
+        grid = get_case(name)
+        g = Multigraph(grid.buses, grid.edges())
+        cover = min_vertex_cover(g).vertices
+        assert len(cover) == size == milp_min_cover(g), name
+        assert all(u in cover or v in cover for u, v in g.edges), name
+
+
+def test_cover_matches_the_cover_ilp_on_seeded_graphs():
+    # grid-like: a random spanning tree, some chords and a few parallel pairs
+    for seed in range(30):
+        rng = random.Random(seed)
+        n = rng.randint(20, 40)
+        edges = [(v, rng.randrange(v)) for v in range(1, n)]
+        edges += [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(n // 4, 2 * n))]
+        edges += rng.sample(edges, 3)
+        g = Multigraph(range(n), edges)
+        cover = min_vertex_cover(g).vertices
+        assert len(cover) == milp_min_cover(g), seed
+        assert all(u in cover or v in cover for u, v in g.edges), seed
 
 
 def test_cover_dominates_feedback_on_ieee_cases():

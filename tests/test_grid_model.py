@@ -122,6 +122,25 @@ def test_domain_exceeded():
         flow_cost(grid, flow, 1.0)
 
 
+def test_domain_slack_scales_with_the_demand_at_a_generator_bus():
+    # bus 1 produces 10 MW at most and consumes 1000 MW, so its net outflow
+    # window is [-1000, -990]: check_feasible's scale there is 1 + 1000
+    grid = PowerGrid(
+        buses=[1, 2],
+        branches=[Branch(1, 2, 100.0)],
+        generators={1: Generator(10.0, linear_cost(1.0, 10.0)),
+                    2: Generator(2000.0, linear_cost(2.0, 2000.0))},
+        consumers={1: 1000.0},
+    )
+    over = Flow(grid, [-990.0 + 5e-4])  # bus 1 produces 10.0005 MW
+    assert check_feasible(grid, over).ok
+    assert flow_cost(grid, over, 1.0).generation == pytest.approx(10.0 + 2.0 * (990.0 - 5e-4))
+    far_over = Flow(grid, [-990.0 + 2e-3])
+    assert not check_feasible(grid, far_over).ok
+    with pytest.raises(DomainExceeded):
+        flow_cost(grid, far_over, 1.0)
+
+
 def test_parallel_branches_have_independent_flows():
     grid = PowerGrid(
         buses=[1, 2],

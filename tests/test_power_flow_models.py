@@ -12,7 +12,8 @@ import pytest
 
 from gridctl.graph_algorithms import Multigraph, is_cactus
 from gridctl.grid_model import (Branch, ControlSet, Flow, Generator, PowerGrid,
-                                check_feasible, flow_cost, net_outflow)
+                                UnknownBus, check_feasible, flow_cost,
+                                net_outflow)
 from gridctl.lp_engine import LpStatus, solve_lp
 from gridctl.power_flow_models import (AngleCheck, CycleEdge, InfeasibleModel,
                                        ModelKind, NotACactus, NotACycle,
@@ -37,7 +38,7 @@ def test_flow_model_two_bus():
     sol = solve_model(grid, flow_model(), 1.0)
     assert sol.objective == pytest.approx(10.0)
     assert sol.flow.values[0] == pytest.approx(10.0)
-    assert sol.theta is None
+    assert sol.theta == {}  # every bus is controlled, so no bus has an angle
 
 
 def test_electrical_equals_flow_on_tree():
@@ -67,6 +68,30 @@ def test_hybrid_no_buses_equals_electrical(ieee_grid):
     e = solve_model(ieee_grid, electrical_model(), lam)
     h = solve_model(ieee_grid, hybrid_model([]), lam)
     assert h.objective == pytest.approx(e.objective, rel=1e-6)
+
+
+def test_unknown_control_bus_raises():
+    grid = get_case("case9")
+    with pytest.raises(UnknownBus):
+        solve_model(grid, hybrid_model([999]), 1.0)
+
+
+def test_case14_at_the_load_limit_gives_a_verdict():
+    # about 1e-7 above the largest feasible demand factor (2.98223938): the
+    # LP is infeasible by less than the engine's row tolerance, so it may
+    # come back optimal with bus 3 producing 100.00018 of its 100 MW while
+    # consuming 281 MW; either verdict is right, an exception of another
+    # kind is not
+    grid = get_case("case14")
+    alpha = 2.9822400810635656
+    scaled = PowerGrid(grid.buses, grid.branches, grid.generators,
+                       {b: alpha * d for b, d in grid.consumers.items()},
+                       grid.base_mva, grid.name)
+    try:
+        sol = solve_model(scaled, electrical_model(), 1.0)
+    except InfeasibleModel:
+        return
+    assert sol.objective == pytest.approx(31402.297029968002, rel=1e-6)
 
 
 def test_lambda_endpoint_optimality_case9():
@@ -161,6 +186,9 @@ def test_lp_shape_of_the_segment_layout(name, lam):
             coupling = len(native_branches)
             gauges = _component_count(native, native_branches)
         assert lp.n_rows == balance + coupling + gauges + (len(lossy) if lam < 1.0 else 0)
+        # every column has an entry in some row: angles only on native buses
+        assert sorted(vmap.theta_var) == sorted(native)
+        assert set().union(*lp.rows) == set(range(lp.n_vars))
 
         # each segment column sits in one row, and each row holds the
         # segments of one generator (its balance row) or one branch's loss
