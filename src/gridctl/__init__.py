@@ -5,10 +5,11 @@ the classical DC (electrical) model, and a hybrid model where a chosen set of
 buses may redistribute flow freely. The models are solved as LPs by an
 in-house bounded simplex (`lp_engine`). `graph_algorithms` computes the block
 decomposition and exact vertex covers and forest/cactus feedback vertex sets,
-the candidate controller sets. `power_flow_models` also checks a fixed flow
-for electrical feasibility and shifts a flow around the cycles of a cactus;
-both work on the fundamental cycles of one spanning forest of the buses
-without a controller.
+the candidate controller sets. `power_flow_models` writes the DC coupling as
+one voltage-law row per fundamental cycle of one spanning forest of the
+buses without a controller; the same cycles serve its angle recovery, its
+electrical-feasibility check of a fixed flow and its shift of a flow around
+the cycles of a cactus.
 """
 
 from .case_io import SamplingConfig, build_grid, load_case, parse_case

@@ -238,16 +238,11 @@ def check_feasible(grid: PowerGrid, flow: Flow, tol: float = 1e-6) -> Feasibilit
     for bus in grid.buses:
         f_net = net_outflow(grid, flow, bus)
         lo, hi = grid.net_outflow_bounds(bus)
-        scale = 1.0 + max(abs(lo), abs(hi))
-        if bus in grid.generators:
-            if f_net < lo - tol * scale or f_net > hi + tol * scale:
-                out.append(Violation("generator", bus, max(lo - f_net, f_net - hi)))
-        elif bus in grid.consumers:
-            if abs(f_net - lo) > tol * scale:
-                out.append(Violation("consumer", bus, abs(f_net - lo)))
-        else:
-            if abs(f_net) > tol:
-                out.append(Violation("conservation", bus, abs(f_net)))
+        miss = max(lo - f_net, f_net - hi)
+        if miss > tol * (1.0 + max(abs(lo), abs(hi))):
+            kind = ("generator" if bus in grid.generators
+                    else "consumer" if bus in grid.consumers else "conservation")
+            out.append(Violation(kind, bus, miss))
     return FeasibilityReport(out)
 
 

@@ -10,24 +10,23 @@ equals its forward segments minus its backward ones in one linking row, so
 the loss is charged at |f|. Because the slopes increase, an optimum fills
 the cheaper segments first, and the LP objective is the cost itself.
 
-Every native bus, one without a flow controller, has a voltage-angle
-variable, and every branch whose two endpoints are both native has the DC
-coupling row
-
-    f(u,v) = B(u,v) * (theta_u - theta_v).
-
-One breadth-first spanning forest of the native subgraph serves the gauge,
-the angle check of a fixed flow and the cactus shift: each tree's root, its
-component's lowest bus, has its angle pinned to zero, and each native branch
-off the forest closes one fundamental cycle. The cycles are pairwise
-edge-disjoint exactly when the native subgraph is a cactus. The flow model
-is the hybrid model with every bus controlled, so it has no angles, and the
-electrical model is the hybrid model with none.
+A native bus is one without a flow controller. DC angles constrain flows
+only around cycles of the native subgraph: f(u,v) = B(u,v) * (theta_u -
+theta_v) on every native branch holds for some angles exactly when, around
+each cycle, the oriented flows satisfy the voltage law sum f_e / B_e = 0.
+One breadth-first spanning forest of the native subgraph serves the LP, the
+angles, the angle check of a fixed flow and the cactus shift: each native
+branch off the forest closes one fundamental cycle and gets one voltage-law
+row, and angles are recovered by propagating flows down the forest from
+each tree's root, its component's lowest bus, at angle zero. The cycles are
+pairwise edge-disjoint exactly when the native subgraph is a cactus. The
+flow model is the hybrid model with every bus controlled, so it has no
+cycle rows and no angles, and the electrical model is the hybrid model with
+no bus controlled.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -89,9 +88,8 @@ def hybrid_model(controls: Iterable[int]) -> ModelKind:
 @dataclass
 class VariableMap:
     flow_var: dict[int, int] = field(default_factory=dict)  # branch index -> column
-    theta_var: dict[int, int] = field(default_factory=dict)  # bus -> column
     balance_rows: dict[int, list[int]] = field(default_factory=dict)  # bus -> rows
-    coupling_row: dict[int, int] = field(default_factory=dict)  # branch index -> row
+    coupling_row: dict[int, int] = field(default_factory=dict)  # cotree branch -> its cycle row
 
 
 def _net_outflow_coeffs(grid: PowerGrid, bus: int, vmap: VariableMap) -> dict[int, float]:
@@ -114,8 +112,6 @@ def build_lp(grid: PowerGrid, kind: ModelKind, lam: float) -> tuple[LinearProgra
     for i, br in enumerate(grid.branches):
         cap = br.capacity
         vmap.flow_var[i] = lp.add_variable(f"f_{br.u}_{br.v}_{i}", -cap, cap)
-    for bus in sorted(native):
-        vmap.theta_var[bus] = lp.add_variable(f"theta_{bus}", -math.inf, math.inf)
 
     objective: dict[int, float] = {}
     constant = 0.0
@@ -147,17 +143,18 @@ def build_lp(grid: PowerGrid, kind: ModelKind, lam: float) -> tuple[LinearProgra
             rows.append(lp.add_constraint(coeffs, "<=", hi))
         vmap.balance_rows[bus] = rows
 
-    # DC coupling on branches with both endpoints native
-    for i, br in enumerate(grid.branches):
-        if br.u not in native or br.v not in native:
-            continue
-        coeffs = {vmap.flow_var[i]: 1.0,
-                  vmap.theta_var[br.u]: -br.susceptance,
-                  vmap.theta_var[br.v]: +br.susceptance}
-        vmap.coupling_row[i] = lp.add_constraint(coeffs, "=", 0.0)
-    roots, _tree = _native_forest(grid, native)
-    for root in roots:
-        lp.add_constraint({vmap.theta_var[root]: 1.0}, "=", 0.0)
+    # DC coupling: the voltage law around the fundamental cycle of each
+    # cotree branch c, scaled by B_c and signed so that f_c has coefficient
+    # 1; its residual is f_c - B_c (theta_u - theta_v) with the angles
+    # propagated down the forest
+    _roots, tree = _native_forest(grid, native)
+    for c in _cotree(grid, native, tree):
+        b_c = grid.branches[c].susceptance
+        coeffs = {vmap.flow_var[c]: 1.0}
+        for e, tail in _fundamental_cycle(grid, tree, c)[:-1]:
+            br = grid.branches[e]
+            coeffs[vmap.flow_var[e]] = (-b_c if tail == br.u else b_c) / br.susceptance
+        vmap.coupling_row[c] = lp.add_constraint(coeffs, "=", 0.0)
 
     # loss at |f| on a lossy branch: f = sum_k p_k - sum_k m_k over the loss
     # segments in both directions; the slopes increase, so an optimum fills
@@ -239,8 +236,9 @@ def solve_model(grid: PowerGrid, kind: ModelKind, lam: float) -> ModelSolution:
     """Solve the dispatch LP and lift the solution back onto the grid.
 
     Raises InfeasibleModel when no feasible flow exists (the interesting
-    outcome under load scaling). The recovered angles of the native buses are
-    checked against the DC coupling on every native branch.
+    outcome under load scaling). The native buses' angles are propagated
+    down the native forest, and the DC coupling is checked on every native
+    branch off it.
     """
     lp, vmap = build_lp(grid, kind, lam)
     sol = lp_engine.solve_lp(lp)
@@ -250,19 +248,16 @@ def solve_model(grid: PowerGrid, kind: ModelKind, lam: float) -> ModelSolution:
         raise lp_engine.NumericalBreakdown(f"unexpected LP status {sol.status}")
 
     flow = Flow(grid, [sol.values[vmap.flow_var[i]] for i in range(len(grid.branches))])
-    theta = {bus: float(sol.values[col]) for bus, col in vmap.theta_var.items()}
-    for i in vmap.coupling_row:
-        br = grid.branches[i]
-        resid = abs(flow.values[i] - br.susceptance * (theta[br.u] - theta[br.v]))
-        if resid > 1e-5 * (1.0 + abs(flow.values[i])):
-            raise lp_engine.NumericalBreakdown(
-                f"coupling residual {resid:.2e} on branch {br.u}-{br.v}")
+    angles = check_electrical_feasibility(grid, flow, kind.native_vertices(grid), tol=1e-5)
+    if not angles.feasible:
+        raise lp_engine.NumericalBreakdown(
+            f"coupling residual {angles.max_residual:.2e} around branches {angles.violated_cycle}")
     report = check_feasible(grid, flow, tol=1e-5)
     if not report.ok:
         raise lp_engine.NumericalBreakdown(
             f"solver returned infeasible flow: worst violation {report.worst():.2e}")
     costs = flow_cost(grid, flow, lam)
-    return ModelSolution(flow, theta, costs, sol.objective, kind)
+    return ModelSolution(flow, angles.theta, costs, sol.objective, kind)
 
 
 # ---------------------------------------------------------------------------

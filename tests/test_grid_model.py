@@ -47,6 +47,25 @@ def test_unserved_consumer_reported():
     assert kinds[("consumer", 2)] == pytest.approx(5.0)
 
 
+@pytest.mark.parametrize("leak, reported", [(1e-3, True), (1e-7, False)])
+def test_pass_through_bus_leak_is_a_conservation_violation(leak, reported):
+    # path 1-2-3 with unlimited lines; bus 2 has neither generator nor
+    # consumer and sends on `leak` more than it receives
+    grid = PowerGrid(
+        buses=[1, 2, 3],
+        branches=[Branch(1, 2, 10.0), Branch(2, 3, 10.0)],
+        generators={1: Generator(10.0, linear_cost(1.0, 10.0))},
+        consumers={3: 1.0 + leak},
+    )
+    report = check_feasible(grid, Flow(grid, [1.0, 1.0 + leak]))
+    if reported:
+        ((kind, subject, magnitude),) = report.violations
+        assert (kind, subject) == ("conservation", 2)
+        assert magnitude == pytest.approx(leak, rel=1e-9)
+    else:
+        assert report.ok
+
+
 def test_capacity_violation_magnitude():
     grid = two_bus_grid(capacity=20.0, demand=21.0)
     flow = Flow(grid, [21.0])

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 import os
 import random
@@ -14,7 +15,8 @@ from gridctl.graph_algorithms import Multigraph, is_cactus
 from gridctl.grid_model import (Branch, ControlSet, Flow, Generator, PowerGrid,
                                 UnknownBus, check_feasible, flow_cost,
                                 net_outflow)
-from gridctl.lp_engine import LpStatus, solve_lp
+from gridctl import lp_engine
+from gridctl.lp_engine import LpStatus, NumericalBreakdown, solve_lp
 from gridctl.power_flow_models import (AngleCheck, CycleEdge, InfeasibleModel,
                                        ModelKind, NotACactus, NotACycle,
                                        build_lp, cactus_equivalent_flow,
@@ -179,20 +181,34 @@ def test_lp_shape_of_the_segment_layout(name, lam):
     for kind in (flow_model(), electrical_model(), hybrid_model(grid.buses[::5])):
         lp, vmap = build_lp(grid, kind, lam)
         native = kind.native_vertices(grid)
-        native_branches = [br for br in grid.branches if br.u in native and br.v in native]
+        native_branches = [i for i, br in enumerate(grid.branches)
+                           if br.u in native and br.v in native]
         balance = sum(2 if bus in grid.generators and lam == 0.0 else 1 for bus in grid.buses)
-        coupling = gauges = 0
-        if kind.name != "flow":
-            coupling = len(native_branches)
-            gauges = _component_count(native, native_branches)
-        assert lp.n_rows == balance + coupling + gauges + (len(lossy) if lam < 1.0 else 0)
-        # every column has an entry in some row: angles only on native buses
-        assert sorted(vmap.theta_var) == sorted(native)
+        # one voltage-law row per independent cycle of the native subgraph
+        cyclomatic = (len(native_branches) - len(native)
+                      + _component_count(native, [grid.branches[i] for i in native_branches]))
+        assert len(vmap.coupling_row) == cyclomatic
+        assert lp.n_rows == balance + cyclomatic + (len(lossy) if lam < 1.0 else 0)
+        # no angle columns: every column is a flow or a cost segment, and
+        # every column has an entry in some row
+        structural = set(vmap.flow_var.values())
         assert set().union(*lp.rows) == set(range(lp.n_vars))
+
+        # a cycle row holds native flows only: 1.0 on its cotree flow and
+        # +-B_c/B_e on the tree flows around the cycle
+        col_branch = {col: i for i, col in vmap.flow_var.items()}
+        for c, row in vmap.coupling_row.items():
+            assert lp.senses[row] == "=" and lp.rhs[row] == 0.0
+            assert lp.rows[row][vmap.flow_var[c]] == 1.0
+            b_c = grid.branches[c].susceptance
+            for col, a in lp.rows[row].items():
+                e = col_branch[col]
+                assert e in native_branches
+                if e != c:
+                    assert abs(a) == b_c / grid.branches[e].susceptance
 
         # each segment column sits in one row, and each row holds the
         # segments of one generator (its balance row) or one branch's loss
-        structural = set(vmap.flow_var.values()) | set(vmap.theta_var.values())
         seen: set[int] = set()
         for bus, gen in grid.generators.items():
             if lam > 0.0:
@@ -204,7 +220,7 @@ def test_lp_shape_of_the_segment_layout(name, lam):
         assert len(loss_rows) == (len(lossy) if lam < 1.0 else 0)
         for row in loss_rows:
             (f,) = set(row) & structural
-            i = next(i for i, col in vmap.flow_var.items() if col == f)
+            i = col_branch[f]
             segment_cols = set(row) - structural
             assert i in lossy and row[f] == 1.0
             assert len(segment_cols) == 2 * len(grid.branches[i].loss.segments(
@@ -212,6 +228,36 @@ def test_lp_shape_of_the_segment_layout(name, lam):
             assert not segment_cols & seen
             seen |= segment_cols
         assert seen == set(range(lp.n_vars)) - structural
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("name", ALL_CASES)
+def test_forest_feedback_lp_is_the_flow_lp(name, lam):
+    # the paper's claim as an identity: with a forest feedback set
+    # controlled, the native subgraph has no cycle, so the hybrid LP has no
+    # coupling row and is the flow model's LP
+    grid = get_case(name)
+    hybrid, _ = build_lp(grid, hybrid_model(forest_feedback_set(name)), lam)
+    flow, _ = build_lp(grid, flow_model(), lam)
+    assert hybrid.rows == flow.rows
+    assert (hybrid.senses, hybrid.rhs) == (flow.senses, flow.rhs)
+    assert (hybrid.lower, hybrid.upper) == (flow.lower, flow.upper)
+    assert (hybrid.obj, hybrid.obj_constant) == (flow.obj, flow.obj_constant)
+
+
+def test_a_solver_point_off_the_voltage_law_raises(monkeypatch):
+    # move one cotree flow of the optimum by 1e-3: its cycle then breaks the
+    # DC coupling, and solve_model must say so rather than return the flow
+    grid = get_case("case9")
+    lp, vmap = build_lp(grid, electrical_model(), 1.0)
+    c = min(vmap.coupling_row)
+    optimum = solve_lp(lp)
+    values = optimum.values.copy()
+    values[vmap.flow_var[c]] += 1e-3
+    monkeypatch.setattr(lp_engine, "solve_lp",
+                        lambda _lp: dataclasses.replace(optimum, values=values))
+    with pytest.raises(NumericalBreakdown, match="coupling"):
+        solve_model(grid, electrical_model(), 1.0)
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
