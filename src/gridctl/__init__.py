@@ -3,7 +3,9 @@
 Three dispatch models over one grid representation: a pure network-flow model,
 the classical DC (electrical) model, and a hybrid model where a chosen set of
 buses may redistribute flow freely. The models are solved as LPs by an
-in-house bounded simplex (`lp_engine`). `graph_algorithms` computes the block
+in-house bounded simplex (`lp_engine`) that prices each column's convex
+piecewise-linear cost in place, so the LP has one column per branch flow and
+per generator and one balance row per bus. `graph_algorithms` computes the block
 decomposition and exact vertex covers and forest/cactus feedback vertex sets,
 the candidate controller sets. `power_flow_models` writes the DC coupling as
 one voltage-law row per fundamental cycle of one spanning forest of the

@@ -1,25 +1,28 @@
 """In-house LP solving.
 
-The solver is a bounded-variable revised simplex: variables carry two-sided
-bounds (signed branch flows live in [-c, c], cost segments in [0, w], angles
-are free), rows become equalities via one slack column each, and an
-infeasible starting point is repaired by a phase-one minimization over
-artificial columns. Every structural column starts at the point of its box
-nearest zero. A triangular crash then serves the equality rows one at a
-time: a column with room in its box moves to take the row's residual and
-becomes basic there, or, when its box is too small, stops at a bound and
-leaves the rest to the row's next column, so demand is routed along the
-flows and a generator's segments fill cheapest first. No move takes an
-inequality row out of its slack's range, or further out. Only the rows the
-crash cannot serve, and whose slack cannot hold their residual, need an
-artificial. A nonbasic column strictly inside its box may move either way
-and is priced like a free column; one that reaches its opposite bound flips
-there without a pivot. Dantzig pricing and a Harris two-pass ratio test pick
-the pivots, with Bland's rule after a degeneracy streak; the pivot sequence
-is deterministic. The basis inverse is kept explicitly with rank-one updates
-and periodic refactorization. An infeasible verdict is returned only with a
-checked Farkas certificate. The working matrix is held as plain numpy arrays
-sorted by column, so the engine needs numpy only.
+The solver is a bounded-variable revised simplex for separable convex
+piecewise-linear costs: each column has two-sided bounds (a branch flow in
+[-c, c], a production in [0, x]) and a convex cost on that box given by its
+slopes and breakpoints, a linear cost being the one-segment case. Rows
+become equalities via one slack column each. Every structural column starts
+at the point of its box nearest zero. A triangular crash then serves the
+equality rows one at a time: a column with room in its box moves to take
+the row's residual and becomes basic there, or, when its box is too small,
+stops at a bound and leaves the rest to the row's next column, so demand is
+routed along the flows. No move takes an inequality row out of its slack's
+range, or further out. Only the rows the crash cannot serve, and whose
+slack cannot hold their residual, get an artificial column, which phase one
+drives to zero on the outer boxes. Phase two prices the curves in place
+(Fourer, "A simplex algorithm for piecewise-linear programming I", 1985): a
+basic column takes its current segment as its box and that segment's slope
+as its cost, and a nonbasic one is priced with the slope on each side of
+where it stands, so a breakpoint is a bound flip for an entering column and
+a leaving point for a basic one. Dantzig pricing and a Harris two-pass
+ratio test pick the pivots, with Bland's rule after a degeneracy streak;
+the pivot sequence is deterministic. The basis inverse is kept explicitly
+with rank-one updates and periodic refactorization. An infeasible verdict
+is returned only with a checked Farkas certificate. The working matrix is
+held as plain numpy arrays sorted by column, so the engine needs numpy only.
 """
 
 from __future__ import annotations
@@ -52,15 +55,22 @@ class LpStatus:
 
 
 class LinearProgram:
-    """Sparse minimization problem with bounded variables.
+    """Sparse minimization problem with bounded variables and separable
+    convex piecewise-linear costs.
 
-    Rows are built incrementally; senses are '<=', '=', '>='.
+    Rows are built incrementally; senses are '<=', '=', '>='. Column j costs
+    the convex function that is 0 at 0 and has slope slopes[k] on its
+    segment k, for cost_at[j] <= k < cost_at[j + 1]; its segments meet at its
+    interior breakpoints, breaks[cost_at[j] - j:cost_at[j + 1] - j - 1], and
+    the end segments run to its bounds.
     """
 
     def __init__(self):
         self.lower: list[float] = []
         self.upper: list[float] = []
-        self.obj: dict[int, float] = {}
+        self.cost_at: list[int] = [0]
+        self.slopes: list[float] = []
+        self.breaks: list[float] = []
         self.obj_constant = 0.0
         self.rows: list[dict[int, float]] = []
         self.senses: list[str] = []
@@ -74,9 +84,26 @@ class LinearProgram:
     def n_rows(self) -> int:
         return len(self.rows)
 
-    def add_variable(self, name: str = "", lower: float = 0.0, upper: float = INF) -> int:
+    def add_variable(self, name: str = "", lower: float = 0.0, upper: float = INF,
+                     slopes=(0.0,), breaks=()) -> int:
+        """A column on [lower, upper] whose cost has the given increasing
+        slopes, which change at the given breakpoints strictly inside the box;
+        a breakpoint between equal slopes is dropped."""
         if not lower <= upper:
             raise ValueError(f"variable {name!r}: empty bound interval [{lower}, {upper}]")
+        if len(slopes) != len(breaks) + 1 or slopes[0] != slopes[0]:
+            raise ValueError(f"variable {name!r}: need one slope, not NaN, per segment")
+        if breaks:
+            ends = [lower, *breaks, upper]
+            if not all(a < b for a, b in zip(ends, ends[1:])):
+                raise ValueError(f"variable {name!r}: breakpoints {breaks} do not split its box")
+            if not all(a <= b for a, b in zip(slopes, slopes[1:])):
+                raise ValueError(f"variable {name!r}: slopes {slopes} are not convex")
+            keep = [k for k in range(len(breaks)) if slopes[k] != slopes[k + 1]]
+            self.breaks += [breaks[k] for k in keep]
+            slopes = [slopes[0], *(slopes[k + 1] for k in keep)]
+        self.slopes += slopes
+        self.cost_at.append(len(self.slopes))
         self.lower.append(lower)
         self.upper.append(upper)
         return len(self.lower) - 1
@@ -98,13 +125,35 @@ class LinearProgram:
         return len(self.rows) - 1
 
     def set_objective(self, coeffs: dict[int, float], constant: float = 0.0) -> None:
-        if any(math.isnan(a) for a in coeffs.values()):
-            raise ValueError("NaN objective coefficient")
-        self.obj = {j: a for j, a in coeffs.items() if a != 0.0}
+        """Linear costs a * x_j of one-segment columns, and the constant."""
+        for j, a in coeffs.items():
+            if math.isnan(a) or self.cost_at[j + 1] - self.cost_at[j] != 1:
+                raise ValueError(f"column {j}: a linear cost needs one segment and a number")
+            self.slopes[self.cost_at[j]] = a
         self.obj_constant = constant
 
+    def segments(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Column, left end, right end and slope of each cost segment, in order."""
+        n, at = self.n_vars, np.array(self.cost_at)
+        col = np.repeat(np.arange(n), np.diff(at))
+        # each column's lower bound, breakpoints and upper bound in turn
+        first, stop = at[:-1] + np.arange(n), at[1:] + np.arange(n)
+        ends = np.empty(at[-1] + n)
+        inner = np.ones(ends.size, dtype=bool)
+        inner[first] = inner[stop] = False
+        ends[first], ends[stop], ends[inner] = self.lower, self.upper, self.breaks
+        k = np.arange(at[-1]) + col
+        return col, ends[k], ends[k + 1], np.array(self.slopes)
+
     def objective_value(self, x) -> float:
-        return float(sum(a * x[j] for j, a in self.obj.items()) + self.obj_constant)
+        x = np.asarray(x, dtype=float)
+        col, lo, hi, slope = self.segments()
+        at = np.array(self.cost_at)
+        # each column's cost is its slope integrated from 0, the end segments
+        # extended beyond the box
+        lo[at[:-1]], hi[at[1:] - 1] = -INF, INF
+        rise = np.minimum(np.maximum(x[col], lo), hi) - np.minimum(np.maximum(0.0, lo), hi)
+        return float(slope @ rise + self.obj_constant)
 
     def coefficients(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Row index, column index and value of every coefficient, row by row."""
@@ -140,6 +189,8 @@ class LpSolution:
     values: np.ndarray | None = None
     objective: float | None = None
     dual_values: np.ndarray | None = None
+    # the point nearest 0 of [d-, d+], d-/+ = the slope left/right of x_j - y.a_j;
+    # c_j - y.a_j for a one-segment column
     reduced_costs: np.ndarray | None = None
     ray: np.ndarray | None = None  # primal ray (unbounded) / Farkas row ray (infeasible)
     iterations: int = 0
@@ -160,8 +211,7 @@ def _crash(r_idx: np.ndarray, c_idx: np.ndarray, vals: np.ndarray, x: np.ndarray
     the lowest index. A column whose box holds x_j + res_r / a_rj moves there
     and becomes basic, and the row counts as exactly satisfied; one whose box
     does not moves to its bound on that side and stays nonbasic, and the row
-    tries its next column, so a generator's segments fill cheapest first.
-    A move is skipped when it would take an inequality row, which keeps its
+    tries its next column. A move is skipped when it would take an inequality row, which keeps its
     slack, out of the slack's range, or further out. Each move updates the
     residual of every row the column touches. A row that no column serves
     keeps what is left of its residual. Serving a row puts every column with
@@ -260,10 +310,13 @@ class _Simplex:
     so the starting basis is nonsingular. Each other row starts with its
     slack basic at its residual at the crashed point, unless the slack cannot
     absorb it; then the row gets an artificial column, a signed unit column
-    in [0, inf) that starts basic. Artificials never enter the basis. `rise`
-    and `fall` mark the nonbasic columns that may move up or down from where
-    they stand; only the entering, leaving and bound-flipped columns change
-    them.
+    in [0, inf) that starts basic. Artificials never enter the basis. Each
+    phase prices on a table of cost segments (`_curves`). `left` and `right`
+    are the segments either side of where a column stands, one segment for
+    a basic column; `lower`, `upper` are their outer ends, the working box,
+    and `c_down`, `c_up` their slopes. `rise` and `fall` mark the nonbasic
+    columns that may move up or down. Only the entering, leaving and
+    bound-flipped columns change these.
     """
 
     def __init__(self, lp: LinearProgram):
@@ -302,8 +355,7 @@ class _Simplex:
         self.x = np.concatenate([x, slack, np.zeros(n_art)])
         self.lower = np.concatenate([lower, slack_lo, np.zeros(n_art)])
         self.upper = np.concatenate([upper, slack_hi, np.full(n_art, INF)])
-        self.c = np.zeros(len(self.x))
-        self.c[list(lp.obj)] = list(lp.obj.values())
+        self.curves = lp.segments()
         # a slack off its bound by e moves its row by e, which its largest
         # coefficient turns into a step of e / max|a| in the structurals
         row_max = np.zeros(m)
@@ -316,8 +368,6 @@ class _Simplex:
         self.basis[crash_rows] = crash_cols
         self.in_basis = np.zeros(len(self.x), dtype=bool)
         self.in_basis[self.basis] = True
-        self.rise = ~self.in_basis & (self.x < self.upper)
-        self.fall = ~self.in_basis & (self.x > self.lower)
         self.max_iter = 2000 + 50 * (m + self.total)
         self._refactor()
 
@@ -348,16 +398,59 @@ class _Simplex:
         a_x = np.bincount(self.row_of, weights=self.val * x_nb[self.col_of], minlength=m)
         self.x[self.basis] = self.b_inv @ (self.b - a_x)
 
-    def _duals(self, cost: np.ndarray) -> np.ndarray:
-        return cost[self.basis] @ self.b_inv
+    def _curves(self, seg_col: np.ndarray, seg_lo: np.ndarray, seg_hi: np.ndarray,
+                slope: np.ndarray) -> None:
+        """Price every column on a table of segments, listed column by column,
+        from where it stands: phase one on one segment per column, its outer
+        box, at the phase's cost; phase two on the curves of `lp`, one segment
+        per slack and artificial. A nonbasic column on a breakpoint stands
+        between the segments that meet there, a basic one on the right one."""
+        n_cols = len(self.x)
+        at = np.searchsorted(seg_col, np.arange(n_cols + 1))
+        self.first, self.last = at[:-1], at[1:] - 1
+        self.seg_lo, self.seg_hi, self.slope = seg_lo, seg_hi, slope
+        # a column's breakpoints are the left ends of its segments but the first
+        at_break = np.ones(len(seg_col), dtype=bool)
+        at_break[self.first] = False
+        x = self.x[seg_col]
+        below = np.bincount(seg_col, weights=at_break & (seg_lo < x), minlength=n_cols)
+        reached = np.bincount(seg_col, weights=at_break & (seg_lo <= x), minlength=n_cols)
+        self.right = self.first + reached.astype(np.int64)
+        self.left = np.where(self.in_basis, self.right, self.first + below.astype(np.int64))
+        self.lower, self.upper = seg_lo[self.left], seg_hi[self.right]
+        self.c_down, self.c_up = slope[self.left], slope[self.right]
+        self.rise = ~self.in_basis & (self.x < self.upper)
+        self.fall = ~self.in_basis & (self.x > self.lower)
 
-    def _entering(self, d: np.ndarray, bland: bool) -> tuple[int, float] | None:
+    def _stand(self, j: int, left: int, right: int) -> None:
+        """Column j stands between segments left and right."""
+        self.left[j], self.right[j] = left, right
+        self.lower[j], self.upper[j] = self.seg_lo[left], self.seg_hi[right]
+        self.c_down[j], self.c_up[j] = self.slope[left], self.slope[right]
+
+    def _stop(self, j: int, up: bool) -> None:
+        """Nonbasic column j reached a breakpoint or a bound, moving up or down."""
+        if up:
+            k = self.right[j]
+            self._stand(j, k, min(k + 1, self.last[j]))
+        else:
+            k = self.left[j]
+            self._stand(j, max(k - 1, self.first[j]), k)
+        self.rise[j] = self.x[j] < self.upper[j]
+        self.fall[j] = self.x[j] > self.lower[j]
+
+    def _duals(self) -> np.ndarray:
+        return self.c_up[self.basis] @ self.b_inv
+
+    def _entering(self, d_up: np.ndarray, d_down: np.ndarray,
+                  bland: bool) -> tuple[int, float] | None:
         # how fast the objective falls per unit move in an allowed direction
-        score = np.maximum(-d * self.rise, d * self.fall)
+        up, down = -d_up * self.rise, d_down * self.fall
+        score = np.maximum(up, down)
         j = int(np.argmax(score > _TOL if bland else score))  # Bland: the first that falls
         if score[j] <= _TOL:
             return None
-        return j, 1.0 if d[j] < 0.0 else -1.0
+        return j, 1.0 if up[j] >= down[j] else -1.0
 
     def _ratio_test(self, j: int, direction: float, w: np.ndarray,
                     bland: bool) -> tuple[float, int]:
@@ -398,21 +491,21 @@ class _Simplex:
         pick = blocking[np.argmin(bj[blocking]) if bland else np.argmax(rate[blocking])]
         return float(ratio[pick]), int(live[pick])
 
-    def _pivot(self, j: int, r: int, w: np.ndarray) -> None:
-        """Column j replaces basis row r; the leaving column snaps to a bound."""
+    def _pivot(self, j: int, r: int, w: np.ndarray, direction: float) -> None:
+        """Column j replaces basis row r on the segment it moved into; the
+        leaving column snaps to an end of its segment."""
         leaving = self.basis[r]
         lo, hi, xl = self.lower[leaving], self.upper[leaving], self.x[leaving]
-        if not math.isinf(lo) and (math.isinf(hi) or abs(xl - lo) <= abs(xl - hi)):
-            self.x[leaving] = lo
-        elif not math.isinf(hi):
-            self.x[leaving] = hi
+        up = math.isinf(lo) or not math.isinf(hi) and abs(xl - hi) < abs(xl - lo)
+        self.x[leaving] = hi if up else lo
         self.in_basis[leaving] = False
         if leaving < self.total:  # artificials never enter
-            self.rise[leaving] = self.x[leaving] < hi
-            self.fall[leaving] = self.x[leaving] > lo
+            self._stop(leaving, up)
         self.basis[r] = j
         self.in_basis[j] = True
         self.rise[j] = self.fall[j] = False
+        k = self.right[j] if direction > 0 else self.left[j]
+        self._stand(j, k, k)
 
         self.b_inv[r] /= w[r]
         row = self.b_inv[r].copy()
@@ -423,16 +516,15 @@ class _Simplex:
             self.b_inv -= w[:, None] * row
         self.b_inv[r] = row
 
-    def run(self, cost: np.ndarray) -> str:
+    def run(self) -> str:
         degenerate_streak = 0
         since_refactor = 0
         while True:
             if self.iterations >= self.max_iter:
                 raise NumericalBreakdown(f"iteration limit {self.max_iter} exceeded")
-            y = self._duals(cost)
-            d = cost - self._price(y)
+            price = self._price(self._duals())
             bland = degenerate_streak >= _BLAND_TRIGGER
-            pick = self._entering(d, bland)
+            pick = self._entering(self.c_up - price, self.c_down - price, bland)
             if pick is None:
                 return "optimal"
             j, direction = pick
@@ -445,13 +537,13 @@ class _Simplex:
             degenerate_streak = degenerate_streak + 1 if step_len <= _TOL else 0
             self.x[self.basis] -= direction * step_len * w
             self.iterations += 1
-            if leave < 0:  # bound flip, basis unchanged
+            if leave < 0:  # j reaches a breakpoint or bound, basis unchanged
                 self.x[j] = self.upper[j] if direction > 0 else self.lower[j]
-                self.rise[j], self.fall[j] = direction < 0, direction > 0
+                self._stop(j, direction > 0)
                 continue
 
             self.x[j] += direction * step_len
-            self._pivot(j, leave, w)
+            self._pivot(j, leave, w, direction)
             since_refactor += 1
             if since_refactor >= _REFACTOR_EVERY:
                 self._refactor()
@@ -483,8 +575,9 @@ class _Simplex:
         if self.total == len(self.x):  # no artificials: the start is feasible
             return None
         art = slice(self.total, None)
-        art_cost = (np.arange(len(self.x)) >= self.total).astype(float)
-        if self.run(art_cost) != "optimal":  # bounded below by 0
+        every = np.arange(len(self.x))
+        self._curves(every, self.lower, self.upper, (every >= self.total).astype(float))
+        if self.run() != "optimal":  # bounded below by 0
             raise NumericalBreakdown("phase one reported unbounded")
         scale = 1.0 + float(np.abs(self.b).max(initial=0.0))
         # each artificial (one entry, on its row) against its own row's |b_i|:
@@ -493,7 +586,7 @@ class _Simplex:
         if (np.abs(self.x[art]) > art_tol).any():
             self._refactor()
             if (np.abs(self.x[art]) > art_tol).any():
-                y = self._duals(art_cost)
+                y = self._duals()
                 # phase one prices with costs 0 and 1 and counts a reduced cost
                 # within _TOL as zero; row i's slack has reduced cost -y_i, so
                 # the sign of an entry at or below _TOL was never checked
@@ -506,13 +599,22 @@ class _Simplex:
         self.x[art] = np.clip(self.x[art], 0.0, None)
         return None
 
+    def phase2(self) -> str:
+        """Minimize the cost curves from the feasible point of phase one."""
+        n, n_cols = self.total - len(self.b), len(self.x)
+        col, lo, hi, slope = self.curves
+        self._curves(np.concatenate([col, np.arange(n, n_cols)]),
+                     np.concatenate([lo, self.lower[n:]]), np.concatenate([hi, self.upper[n:]]),
+                     np.concatenate([slope, np.zeros(n_cols - n)]))
+        return self.run()
+
 
 def solve_lp(lp: LinearProgram) -> LpSolution:
     """Solve to proven optimality, infeasibility or unboundedness.
 
     Optimal solutions are certified: the primal point satisfies every row
-    within 10*_TOL*(1+|rhs|) and the duals/reduced costs satisfy complementary
-    slackness. Infeasible problems carry a Farkas row ray, with entries at
+    within 10*_TOL*(1+|rhs|), and the duals price each cost segment by the
+    subgradient rule (complementary slackness for linear costs). Infeasible problems carry a Farkas row ray, with entries at
     or below _TOL zeroed, that passed the interval test before it is
     returned; a phase-one stall without one raises NumericalBreakdown.
     Unbounded problems carry a primal ray. Duals and rays index the rows of
@@ -524,7 +626,7 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     if ray is not None:
         return LpSolution(LpStatus.INFEASIBLE, ray=ray, iterations=spx.iterations)
 
-    if spx.run(spx.c) == "unbounded":
+    if spx.phase2() == "unbounded":
         j, direction, w = spx._ray
         ray = np.zeros(len(spx.x))
         ray[j] = direction
@@ -540,14 +642,14 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
         if violation > _TOL * 10:
             raise NumericalBreakdown(f"primal residual {violation:.2e} above tolerance")
 
-    y = spx._duals(spx.c)
-    d = spx.c - spx._price(y)
+    y = spx._duals()
+    price = spx._price(y)
     x = spx.x[:n].copy()
     return LpSolution(
         LpStatus.OPTIMAL,
         values=x,
         objective=lp.objective_value(x),
         dual_values=y,
-        reduced_costs=d[:n].copy(),
+        reduced_costs=np.clip(0.0, spx.c_down[:n] - price[:n], spx.c_up[:n] - price[:n]),
         iterations=spx.iterations,
     )

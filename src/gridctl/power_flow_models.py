@@ -1,14 +1,13 @@
 """The flow, electrical, and hybrid dispatch models as bounded LPs.
 
-All three models share one LP skeleton: a signed flow variable per branch
-(bounds plus/minus capacity) and a balance row per bus. The convex PWL
-generation and loss costs are written in separable form: one bounded column
-per linear segment of a cost, priced at the segment's slope, with the
-function's value at zero as an objective constant. A generator's segments
-sum to its production inside its bus's balance row; a lossy branch's flow
-equals its forward segments minus its backward ones in one linking row, so
-the loss is charged at |f|. Because the slopes increase, an optimum fills
-the cheaper segments first, and the LP objective is the cost itself.
+All three models share one LP skeleton: a signed flow column per branch in
+[-capacity, capacity], a production column per generator in [0, x_g], and
+one balance equality per bus, net outflow - production = -demand. The
+convex PWL costs sit in the columns themselves, as `lp_engine` curves: a
+flow costs (1 - lambda) loss(|f|), the loss curve mirrored about 0, and a
+production lambda cost(p), each less its value at zero, which goes into the
+objective constant. The LP objective is therefore the cost itself, and the
+layout is the same at every lambda.
 
 A native bus is one without a flow controller. DC angles constrain flows
 only around cycles of the native subgraph: f(u,v) = B(u,v) * (theta_u -
@@ -28,6 +27,7 @@ no bus controlled.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 from . import lp_engine
@@ -36,6 +36,7 @@ from .graph_algorithms import biconnected_components  # noqa: F401
 from .grid_model import (ControlSet, CostBreakdown, Flow, PowerGrid,
                          check_feasible, flow_cost)
 from .lp_engine import LinearProgram, LpStatus
+from .pwl import PiecewiseLinearConvex
 
 
 class InfeasibleModel(RuntimeError):
@@ -88,8 +89,12 @@ def hybrid_model(controls: Iterable[int]) -> ModelKind:
 @dataclass
 class VariableMap:
     flow_var: dict[int, int] = field(default_factory=dict)  # branch index -> column
-    balance_rows: dict[int, list[int]] = field(default_factory=dict)  # bus -> rows
+    gen_var: dict[int, int] = field(default_factory=dict)  # generator bus -> production column
+    balance_row: dict[int, int] = field(default_factory=dict)  # bus -> its balance row
     coupling_row: dict[int, int] = field(default_factory=dict)  # cotree branch -> its cycle row
+    native: set[int] = field(default_factory=set)  # the buses without a controller
+    roots: list[int] = field(default_factory=list)  # the native forest, as _native_forest
+    tree: dict[int, tuple[int, int]] = field(default_factory=dict)
 
 
 def _net_outflow_coeffs(grid: PowerGrid, bus: int, vmap: VariableMap) -> dict[int, float]:
@@ -101,79 +106,62 @@ def _net_outflow_coeffs(grid: PowerGrid, bus: int, vmap: VariableMap) -> dict[in
     return coeffs
 
 
+def _curve(cost: PiecewiseLinearConvex, cap: float,
+           scale: float) -> tuple[list[float], list[float], float]:
+    """Slopes and interior breakpoints of scale * cost on [0, cap], and its
+    value at 0."""
+    segments = cost.segments(cap=cap) if scale else []
+    if not segments:
+        return [0.0], [], scale * cost.value_at_zero if scale else 0.0
+    widths, slopes = zip(*segments)
+    return [scale * s for s in slopes], list(accumulate(widths[:-1])), scale * cost.value_at_zero
+
+
 def build_lp(grid: PowerGrid, kind: ModelKind, lam: float) -> tuple[LinearProgram, VariableMap]:
     """Assemble the dispatch LP for the given model and objective weight."""
     if not 0.0 <= lam <= 1.0:
         raise ValueError("lambda must lie in [0, 1]")
     lp = LinearProgram()
-    vmap = VariableMap()
-    native = kind.native_vertices(grid)
-
-    for i, br in enumerate(grid.branches):
-        cap = br.capacity
-        vmap.flow_var[i] = lp.add_variable(f"f_{br.u}_{br.v}_{i}", -cap, cap)
-
-    objective: dict[int, float] = {}
+    vmap = VariableMap(native=kind.native_vertices(grid))
     constant = 0.0
 
-    # balance rows: a priced generator's production is the sum of its cost
-    # segments, net(g) - sum_k s_k = -d_g; every other connected bus gets an
-    # equality, or at lambda = 0 a generator bus the window [-d, x - d]
+    # a flow costs (1 - lambda) loss(|f|): the loss curve on [0, cap],
+    # mirrored onto [-cap, 0]
+    for i, br in enumerate(grid.branches):
+        cap = br.capacity
+        slopes, ends, at_zero = _curve(br.loss, cap, 1.0 - lam)
+        if ends or slopes[0]:
+            slopes = [-s for s in reversed(slopes)] + slopes
+            ends = [-e for e in reversed(ends)] + [0.0] + ends
+        vmap.flow_var[i] = lp.add_variable(f"f_{br.u}_{br.v}_{i}", -cap, cap, slopes, ends)
+        constant += at_zero
+
+    # one balance row per bus, net(bus) - production = -demand, where a
+    # generator's production in [0, x_g] costs lambda cost(production)
     for bus in grid.buses:
         coeffs = _net_outflow_coeffs(grid, bus, vmap)
         gen = grid.generators.get(bus)
-        if gen is not None and lam > 0.0:
-            constant += lam * gen.cost.value_at_zero
-            for k, (width, slope) in enumerate(gen.cost.segments(cap=gen.capacity)):
-                s = lp.add_variable(f"gen_{bus}_{k}", 0.0, width)
-                objective[s] = lam * slope
-                coeffs[s] = -1.0
-            vmap.balance_rows[bus] = [lp.add_constraint(coeffs, "=", -grid.demand(bus))]
-            continue
-        lo, hi = grid.net_outflow_bounds(bus)
-        rows = []
-        if not coeffs:
-            if lo > 0 or hi < 0:  # infeasible isolated bus: 0 outside [lo, hi]
-                rows.append(lp.add_constraint({}, ">=", lo))
-                rows.append(lp.add_constraint({}, "<=", hi))
-        elif lo == hi:
-            rows.append(lp.add_constraint(coeffs, "=", lo))
-        else:
-            rows.append(lp.add_constraint(coeffs, ">=", lo))
-            rows.append(lp.add_constraint(coeffs, "<=", hi))
-        vmap.balance_rows[bus] = rows
+        if gen is not None:
+            slopes, ends, at_zero = _curve(gen.cost, gen.capacity, lam)
+            p = vmap.gen_var[bus] = lp.add_variable(f"p_{bus}", 0.0, gen.capacity, slopes, ends)
+            coeffs[p] = -1.0
+            constant += at_zero
+        vmap.balance_row[bus] = lp.add_constraint(coeffs, "=", -grid.demand(bus))
 
     # DC coupling: the voltage law around the fundamental cycle of each
     # cotree branch c, scaled by B_c and signed so that f_c has coefficient
     # 1; its residual is f_c - B_c (theta_u - theta_v) with the angles
     # propagated down the forest
-    _roots, tree = _native_forest(grid, native)
-    for c in _cotree(grid, native, tree):
+    vmap.roots, vmap.tree = _native_forest(grid, vmap.native)
+    for c in _cotree(grid, vmap.native, vmap.tree):
         b_c = grid.branches[c].susceptance
         coeffs = {vmap.flow_var[c]: 1.0}
-        for e, tail in _fundamental_cycle(grid, tree, c)[:-1]:
+        for e, tail in _fundamental_cycle(grid, vmap.tree, c)[:-1]:
             br = grid.branches[e]
             coeffs[vmap.flow_var[e]] = (-b_c if tail == br.u else b_c) / br.susceptance
         vmap.coupling_row[c] = lp.add_constraint(coeffs, "=", 0.0)
 
-    # loss at |f| on a lossy branch: f = sum_k p_k - sum_k m_k over the loss
-    # segments in both directions; the slopes increase, so an optimum fills
-    # the cheaper segments first and never both directions at once
-    if lam < 1.0:
-        for i, br in enumerate(grid.branches):
-            constant += (1.0 - lam) * br.loss.value_at_zero
-            segments = br.loss.segments(cap=br.capacity)
-            if not any(slope for _, slope in segments):
-                continue  # lossless
-            coeffs = {vmap.flow_var[i]: 1.0}
-            for k, (width, slope) in enumerate(segments):
-                for sign, direction in ((-1.0, "p"), (1.0, "m")):
-                    col = lp.add_variable(f"loss{direction}_{i}_{k}", 0.0, width)
-                    objective[col] = (1.0 - lam) * slope
-                    coeffs[col] = sign
-            lp.add_constraint(coeffs, "=", 0.0)
-
-    lp.set_objective(objective, constant)
+    lp.obj_constant = constant
     return lp, vmap
 
 
@@ -248,7 +236,7 @@ def solve_model(grid: PowerGrid, kind: ModelKind, lam: float) -> ModelSolution:
         raise lp_engine.NumericalBreakdown(f"unexpected LP status {sol.status}")
 
     flow = Flow(grid, [sol.values[vmap.flow_var[i]] for i in range(len(grid.branches))])
-    angles = check_electrical_feasibility(grid, flow, kind.native_vertices(grid), tol=1e-5)
+    angles = _angle_check(grid, flow, vmap.native, vmap.roots, vmap.tree, tol=1e-5)
     if not angles.feasible:
         raise lp_engine.NumericalBreakdown(
             f"coupling residual {angles.max_residual:.2e} around branches {angles.violated_cycle}")
@@ -284,14 +272,19 @@ def check_electrical_feasibility(grid: PowerGrid, flow: Flow,
     cycle, in cyclic order.
     """
     native_set = set(native)
-    roots, tree = _native_forest(grid, native_set)
+    return _angle_check(grid, flow, native_set, *_native_forest(grid, native_set), tol=tol)
+
+
+def _angle_check(grid: PowerGrid, flow: Flow, native: set[int], roots: list[int],
+                 tree: dict[int, tuple[int, int]], tol: float) -> AngleCheck:
+    """check_electrical_feasibility on the native set's forest, as given."""
     theta = dict.fromkeys(roots, 0.0)
     for v, (i, u) in tree.items():
         # f(u,v) = B (theta_u - theta_v)  =>  theta_v = theta_u - f/B
         theta[v] = theta[u] - flow.value(i, u) / grid.branches[i].susceptance
 
     max_resid = 0.0
-    for i in _cotree(grid, native_set, tree):
+    for i in _cotree(grid, native, tree):
         br = grid.branches[i]
         resid = flow.values[i] - br.susceptance * (theta[br.u] - theta[br.v])
         max_resid = max(max_resid, abs(resid))

@@ -66,27 +66,56 @@ def triangle_grid(b=(100.0, 100.0, 100.0), caps=(math.inf, math.inf, math.inf)) 
     )
 
 
+def expand(lp: LinearProgram):
+    """The segment LP that `lp`'s cost curves stand for.
+
+    Column j is anchored at a_j, its lower bound when finite, else its upper
+    bound when finite, else 0, and x_j = a_j + the sum of its pieces. A piece
+    is the part of a cost segment on one side of a_j, from its end nearest
+    a_j (`start`) to its other end (`stop`); its variable is the distance x
+    has moved along it, in [0, stop - start] right of a_j and in
+    [stop - start, 0] left of it, at the segment's slope. A fixed column
+    keeps one piece, in [0, 0]. Convexity makes an optimum fill the pieces
+    nearest a_j first. Returns each piece's column, start, stop and slope,
+    the anchors, and the cost of the anchors, sum_j cost_j(a_j) without
+    `lp.obj_constant`.
+    """
+    col, lo, hi, slope = lp.segments()
+    lower, upper = np.array(lp.lower), np.array(lp.upper)
+    anchor = np.where(np.isfinite(lower), lower, np.where(np.isfinite(upper), upper, 0.0))
+    a = anchor[col]
+    right, left = (hi > a) | (lo == hi), lo < a
+    return (np.concatenate([col[right], col[left]]),
+            np.concatenate([np.maximum(lo, a)[right], np.minimum(hi, a)[left]]),
+            np.concatenate([hi[right], lo[left]]),
+            np.concatenate([slope[right], slope[left]]),
+            anchor, lp.objective_value(anchor) - lp.obj_constant)
+
+
 def scipy_check(lp: LinearProgram):
-    """HiGHS's result for `lp`: status 0 optimal, 2 infeasible, 3 unbounded."""
-    c = np.zeros(lp.n_vars)
-    for j, a in lp.obj.items():
-        c[j] = a
+    """HiGHS's result for `lp`, solved as its segment LP (`expand`): status
+    0 optimal, 2 infeasible, 3 unbounded; `fun` leaves out `lp.obj_constant`."""
+    col, start, stop, slope, anchor, anchor_cost = expand(lp)
+    width = stop - start
     a_ub, b_ub, a_eq, b_eq = [], [], [], []
     for i, row in enumerate(lp.rows):
         coeffs = np.zeros(lp.n_vars)
         for j, a in row.items():
             coeffs[j] = a
+        rhs = lp.rhs[i] - coeffs @ anchor
         if lp.senses[i] == "<=":
-            a_ub.append(coeffs)
-            b_ub.append(lp.rhs[i])
+            a_ub.append(coeffs[col])
+            b_ub.append(rhs)
         elif lp.senses[i] == ">=":
-            a_ub.append(-coeffs)
-            b_ub.append(-lp.rhs[i])
+            a_ub.append(-coeffs[col])
+            b_ub.append(-rhs)
         else:
-            a_eq.append(coeffs)
-            b_eq.append(lp.rhs[i])
+            a_eq.append(coeffs[col])
+            b_eq.append(rhs)
     res = linprog(
-        c, A_ub=np.array(a_ub) if a_ub else None, b_ub=b_ub or None,
+        slope, A_ub=np.array(a_ub) if a_ub else None, b_ub=b_ub or None,
         A_eq=np.array(a_eq) if a_eq else None, b_eq=b_eq or None,
-        bounds=list(zip(lp.lower, lp.upper)), method="highs")
+        bounds=list(zip(np.minimum(width, 0.0), np.maximum(width, 0.0))), method="highs")
+    if res.status == 0:
+        res.fun += anchor_cost
     return res

@@ -13,7 +13,7 @@ from gridctl.grid_model import Branch, Generator, PowerGrid
 from gridctl.power_flow_models import build_lp, electrical_model, flow_model, hybrid_model
 from gridctl.pwl import PiecewiseLinearConvex
 
-from conftest import get_case, scipy_check
+from conftest import expand, get_case, scipy_check
 
 
 # -- oracles -------------------------------------------------------------------
@@ -41,9 +41,8 @@ def brute_force_lp(lp: LinearProgram):
     xs = xs[feasibility_violations(lp, a_rows, xs) <= 1e-9]
     if len(xs) == 0:
         return None  # infeasible
-    c = np.zeros(n)
-    c[list(lp.obj)] = list(lp.obj.values())
-    return float((xs @ c).min() + lp.obj_constant)
+    assert lp.cost_at == list(range(n + 1))  # linear costs
+    return float((xs @ np.array(lp.slopes)).min() + lp.obj_constant)
 
 
 def feasibility_violations(lp: LinearProgram, a_rows: np.ndarray, xs: np.ndarray) -> np.ndarray:
@@ -622,23 +621,25 @@ def test_crash_point_satisfies_its_rows_inside_the_boxes(monkeypatch):
 
 
 def test_crash_fills_a_generators_segments_cheapest_first():
-    # The generator at bus 1 costs max(x, 3x - 8): a segment of width 4 at
-    # slope 1, then one of width 10 at slope 3. Bus 2's row has the flow as
-    # its one column and routes the demand of 6 onto bus 1's row; there the
-    # cheap segment fills to its bound of 4 and the dear one takes the
-    # remaining 2 as a basic column. That start is optimal, so no pivot is
-    # needed.
+    # The generator at bus 1 costs max(x, 3x - 8): slope 1 on [0, 4], then
+    # slope 3 on [4, 14], one production column with a breakpoint at 4.
+    # Bus 2's row has the flow as its one column and routes the demand of 6
+    # onto bus 1's row, where the production column takes it and is basic at
+    # 6. Phase two prices it on its segment [4, 14] at slope 3, so the cheap
+    # segment counts as full; that start is optimal, at 4 * 1 + 2 * 3.
     cost = PiecewiseLinearConvex(((1.0, 0.0), (3.0, -8.0)), 14.0)
     grid = PowerGrid(buses=[1, 2], branches=[Branch(1, 2, susceptance=100.0, capacity=20.0)],
                      generators={1: Generator(14.0, cost)}, consumers={2: 6.0})
     lp, vmap = build_lp(grid, flow_model(), 1.0)
-    (f,) = vmap.flow_var.values()
-    cheap, dear = [j for j in range(lp.n_vars) if j != f]
-    assert (lp.upper[cheap], lp.obj[cheap], lp.upper[dear], lp.obj[dear]) == (4.0, 1.0, 10.0, 3.0)
+    (f,), (p,) = vmap.flow_var.values(), vmap.gen_var.values()
+    assert (lp.lower[p], lp.upper[p], lp.slopes[lp.cost_at[p]:], lp.breaks) == (
+        0.0, 14.0, [1.0, 3.0], [4.0])
     spx = lp_engine._Simplex(lp)
     assert spx.total == len(spx.x)  # no artificial
-    assert (spx.x[f], spx.x[cheap], spx.x[dear]) == (6.0, 4.0, 2.0)
-    assert spx.in_basis[f] and spx.in_basis[dear] and not spx.in_basis[cheap]
+    assert (spx.x[f], spx.x[p]) == (6.0, 6.0)
+    assert spx.in_basis[f] and spx.in_basis[p]
+    spx.phase2()
+    assert (spx.lower[p], spx.upper[p], spx.c_up[p]) == (4.0, 14.0, 3.0)
     sol = solve_lp(lp)
     assert sol.status == LpStatus.OPTIMAL and sol.iterations == 0
     assert sol.objective == pytest.approx(10.0)
@@ -783,13 +784,106 @@ def test_random_battery_where_the_crash_fires(monkeypatch):
     assert fired >= 250 and infeasible >= 150
 
 
+# -- convex piecewise-linear costs ---------------------------------------------------
+
+def pwl_lp(rng: np.random.Generator, anchor: bool) -> LinearProgram:
+    """Random LP with integer data whose columns have convex piecewise-linear
+    costs of one to four segments on boxes that may run to -inf or inf; 0 is
+    a breakpoint of about half the columns whose box holds it inside.
+    `anchor` builds the rhs around a point of the boxes."""
+    lp = LinearProgram()
+    n = int(rng.integers(2, 7))
+    for j in range(n):
+        lo, hi = sorted(float(v) for v in rng.choice(np.arange(-12, 13), size=2, replace=False))
+        kind = int(rng.integers(0, 4))
+        lo, hi = (-math.inf if kind in (1, 3) else lo), (math.inf if kind in (2, 3) else hi)
+        inside = [float(v) for v in range(-11, 12) if lo < v < hi]
+        k = min(int(rng.integers(0, 4)), len(inside))
+        breaks = set(rng.choice(inside, size=k, replace=False).tolist()) if k else set()
+        if lo < 0.0 < hi and rng.random() < 0.5:
+            breaks.add(0.0)
+        steps = rng.integers(1, 5, size=len(breaks))
+        slopes = (float(rng.integers(-6, 4)) + np.concatenate([[0], np.cumsum(steps)])).tolist()
+        lp.add_variable(f"v{j}", lo, hi, slopes, sorted(breaks))
+    x0 = rng.integers(-8, 9, size=n).clip(lp.lower, lp.upper)
+    for _ in range(int(rng.integers(1, 9))):
+        cols = rng.choice(n, size=int(rng.integers(1, min(4, n) + 1)), replace=False)
+        coeffs = {int(j): float(rng.integers(-5, 6)) for j in cols}
+        coeffs = {j: a for j, a in coeffs.items() if a}
+        if not coeffs:
+            continue
+        sense = ["<=", ">=", "="][int(rng.integers(0, 3))]
+        if anchor:
+            act = sum(a * x0[j] for j, a in coeffs.items())
+            slack = float(rng.integers(0, 4))
+            rhs = act + slack if sense == "<=" else act - slack if sense == ">=" else act
+        else:
+            rhs = float(rng.integers(-15, 16))
+        lp.add_constraint(coeffs, sense, rhs)
+    return lp
+
+
+def test_random_pwl_battery_against_highs():
+    rng = np.random.default_rng(8128)
+    statuses = {0: LpStatus.OPTIMAL, 2: LpStatus.INFEASIBLE, 3: LpStatus.UNBOUNDED}
+    seen = {"optimal": 0, "infeasible": 0, "unbounded": 0, "infinite end": 0, "on a breakpoint": 0}
+    for trial in range(400):
+        lp = pwl_lp(rng, anchor=trial % 2 == 0)
+        sol = solve_lp(lp)
+        ref = scipy_check(lp)
+        assert sol.status == statuses[ref.status], f"trial {trial}"
+        seen[sol.status] += 1
+        col, lo, hi, _slope = lp.segments()
+        bent = np.bincount(col, minlength=lp.n_vars) > 1
+        seen["infinite end"] += bool(np.any(bent & np.isinf(np.array(lp.lower) - lp.upper)))
+        seen["on a breakpoint"] += 0.0 in lp.breaks
+        if sol.status == LpStatus.OPTIMAL:
+            assert sol.objective == pytest.approx(ref.fun, abs=1e-6), f"trial {trial}"
+            assert lp.feasibility_violation(sol.values) <= 1e-7, f"trial {trial}"
+        elif sol.status == LpStatus.INFEASIBLE:  # free columns: see exact_ray_certifies
+            assert exact_ray_certifies(lp, sol.ray), f"trial {trial}"
+    assert seen["optimal"] >= 150 and seen["infeasible"] >= 80 and seen["unbounded"] >= 40, seen
+    assert seen["infinite end"] >= 150 and seen["on a breakpoint"] >= 150, seen
+
+
+def test_pwl_solves_repeat_their_pivot_sequence(monkeypatch):
+    picks = []
+    entering = lp_engine._Simplex._entering
+
+    def spy(self, *args):
+        picks.append(entering(self, *args))
+        return picks[-1]
+
+    monkeypatch.setattr(lp_engine._Simplex, "_entering", spy)
+    lp, _vmap = build_lp(get_case("case30"), electrical_model(), 0.5)
+    a = solve_lp(lp)
+    first, picks[:] = picks[:], []
+    b = solve_lp(lp)
+    assert a.iterations == b.iterations > 0 and first == picks
+    assert np.array_equal(a.values, b.values)
+
+
+@pytest.mark.parametrize("lower, upper, slopes, breaks", [
+    (0.0, 10.0, [2.0, 1.0], [5.0]),  # slopes fall: not convex
+    (0.0, 10.0, [1.0, 2.0], [12.0]),  # breakpoint beyond the box
+    (0.0, 10.0, [1.0, 2.0], [0.0]),  # breakpoint on a bound
+    (0.0, 10.0, [1.0, 2.0, 3.0], [6.0, 4.0]),  # breakpoints out of order
+    (0.0, 10.0, [1.0, 2.0], []),  # one slope too many
+    (-math.inf, math.inf, [1.0, 2.0], [math.inf]),
+])
+def test_a_curve_that_does_not_split_its_box_convexly_is_rejected(lower, upper, slopes, breaks):
+    with pytest.raises(ValueError):
+        LinearProgram().add_variable("x", lower, upper, slopes, breaks)
+
+
 # -- KKT conditions on the power-flow LPs ------------------------------------------
 
 @pytest.mark.parametrize("case, kind, lam, capacity", [("case30", "electrical", 0.5, 1.0),
                                                        ("case118", "flow", 1.0, 1.0),
                                                        ("case39", "electrical", 0.5, 0.7)])
 def test_power_flow_lps_meet_kkt(case, kind, lam, capacity):
-    # at 0.7 of their capacity, case39's lines bind, so reduced costs are nonzero
+    # The subgradient conditions, checked on the segment LP of `expand`: at
+    # 0.7 of their capacity, case39's lines bind, so reduced costs are nonzero
     model = electrical_model() if kind == "electrical" else flow_model()
     lp, _vmap = build_lp(get_case(case).scale_capacities(capacity), model, lam)
     sol = solve_lp(lp)
@@ -797,33 +891,43 @@ def test_power_flow_lps_meet_kkt(case, kind, lam, capacity):
     assert sol.status == LpStatus.OPTIMAL and ref.status == 0
     assert sol.objective == pytest.approx(ref.fun + lp.obj_constant, rel=1e-7)
 
-    y, d, x = sol.dual_values, sol.reduced_costs, sol.values
+    y, x = sol.dual_values, sol.values
     assert len(y) == lp.n_rows
-
     tol = 1e-6
     for i, sense in enumerate(lp.senses):  # A x + s = b, '<=': s >= 0, '>=': s <= 0
         if sense == "<=":
             assert y[i] <= tol, f"row {i}"
         elif sense == ">=":
             assert y[i] >= -tol, f"row {i}"
-    for j in range(lp.n_vars):
-        lo, hi = lp.lower[j], lp.upper[j]
-        at_lo = x[j] <= lo + 1e-9 * (1 + abs(lo))
-        at_hi = x[j] >= hi - 1e-9 * (1 + abs(hi))
-        if at_lo and at_hi:
-            continue  # fixed column: either sign
-        if at_lo:
-            assert d[j] >= -tol, f"column {j} at its lower bound"
-        elif at_hi:
-            assert d[j] <= tol, f"column {j} at its upper bound"
-        else:
-            assert abs(d[j]) <= tol, f"column {j} between its bounds"
 
-    dual = float(np.dot(y, lp.rhs)) + lp.obj_constant
-    for j in range(lp.n_vars):
-        if d[j] > 1e-9:
-            dual += d[j] * lp.lower[j]
-        elif d[j] < -1e-9:
-            dual += d[j] * lp.upper[j]
+    # each piece's variable at x: the pieces between the anchor and x_j are
+    # full, the others empty
+    col, start, stop, slope, anchor, anchor_cost = expand(lp)
+    z = np.clip(x[col], np.minimum(start, stop), np.maximum(start, stop)) - start
+    assert np.allclose(np.bincount(col, weights=z, minlength=lp.n_vars), x - anchor,
+                       rtol=1e-12, atol=1e-9)
+    lo_z, hi_z = np.minimum(stop - start, 0.0), np.maximum(stop - start, 0.0)
+    price = np.zeros(lp.n_vars)
+    for i, row in enumerate(lp.rows):
+        for j, a in row.items():
+            price[j] += y[i] * a
+    d = slope - price[col]  # each piece's reduced cost s_k - y.a_j
+    for k in range(len(col)):
+        at_lo = z[k] <= lo_z[k] + 1e-9 * (1 + abs(lo_z[k]))
+        at_hi = z[k] >= hi_z[k] - 1e-9 * (1 + abs(hi_z[k]))
+        if at_lo and at_hi:
+            continue  # fixed piece: either sign
+        if at_lo:
+            assert d[k] >= -tol, f"piece {k} of column {col[k]} empty"
+        elif at_hi:
+            assert d[k] <= tol, f"piece {k} of column {col[k]} full"
+        else:
+            assert abs(d[k]) <= tol, f"piece {k} of column {col[k]} partly full"
+
+    rhs = np.array(lp.rhs) - np.array([sum(a * anchor[j] for j, a in row.items())
+                                       for row in lp.rows])
+    dual = float(np.dot(y, rhs)) + anchor_cost + lp.obj_constant
+    pos, neg = d > 1e-9, d < -1e-9
+    dual += float(d[pos] @ lo_z[pos] + d[neg] @ hi_z[neg])
     assert dual == pytest.approx(sol.objective, abs=1e-6 * (1 + abs(sol.objective)))
-    assert capacity == 1.0 or np.abs(d).max() > 1e-3
+    assert capacity == 1.0 or np.abs(sol.reduced_costs).max() > 1e-3

@@ -175,24 +175,31 @@ def _component_count(buses, branches) -> int:
 @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
 @pytest.mark.parametrize("name", ALL_CASES)
 def test_lp_shape_of_the_segment_layout(name, lam):
+    # the cost segments live in the columns' curves: one flow column per
+    # branch, one production column per generator, one balance equality per
+    # bus and one voltage-law row per independent native cycle
     grid = get_case(name)
-    lossy = [i for i, br in enumerate(grid.branches)
-             if any(a for _, a in br.loss.segments(cap=br.capacity))]
     for kind in (flow_model(), electrical_model(), hybrid_model(grid.buses[::5])):
         lp, vmap = build_lp(grid, kind, lam)
         native = kind.native_vertices(grid)
         native_branches = [i for i, br in enumerate(grid.branches)
                            if br.u in native and br.v in native]
-        balance = sum(2 if bus in grid.generators and lam == 0.0 else 1 for bus in grid.buses)
-        # one voltage-law row per independent cycle of the native subgraph
         cyclomatic = (len(native_branches) - len(native)
                       + _component_count(native, [grid.branches[i] for i in native_branches]))
         assert len(vmap.coupling_row) == cyclomatic
-        assert lp.n_rows == balance + cyclomatic + (len(lossy) if lam < 1.0 else 0)
-        # no angle columns: every column is a flow or a cost segment, and
-        # every column has an entry in some row
-        structural = set(vmap.flow_var.values())
+        assert lp.n_rows == len(grid.buses) + cyclomatic
+        assert sorted(vmap.flow_var) == list(range(len(grid.branches)))
+        assert set(vmap.gen_var) == set(grid.generators)
+        assert sorted([*vmap.flow_var.values(), *vmap.gen_var.values()]) == list(range(lp.n_vars))
         assert set().union(*lp.rows) == set(range(lp.n_vars))
+
+        # net(bus) - production = -demand
+        for bus, row in vmap.balance_row.items():
+            coeffs = {vmap.flow_var[i]: 1.0 if grid.branches[i].u == bus else -1.0
+                      for i in grid.incident(bus)}
+            if bus in vmap.gen_var:
+                coeffs[vmap.gen_var[bus]] = -1.0
+            assert (lp.rows[row], lp.senses[row], lp.rhs[row]) == (coeffs, "=", -grid.demand(bus))
 
         # a cycle row holds native flows only: 1.0 on its cotree flow and
         # +-B_c/B_e on the tree flows around the cycle
@@ -207,27 +214,26 @@ def test_lp_shape_of_the_segment_layout(name, lam):
                 if e != c:
                     assert abs(a) == b_c / grid.branches[e].susceptance
 
-        # each segment column sits in one row, and each row holds the
-        # segments of one generator (its balance row) or one branch's loss
-        seen: set[int] = set()
-        for bus, gen in grid.generators.items():
-            if lam > 0.0:
-                (row,) = vmap.balance_rows[bus]
-                segment_cols = set(lp.rows[row]) - structural
-                assert len(segment_cols) == len(gen.cost.segments(cap=gen.capacity))
-                seen |= segment_cols
-        loss_rows = [row for row in lp.rows if set(row) - structural - seen]
-        assert len(loss_rows) == (len(lossy) if lam < 1.0 else 0)
-        for row in loss_rows:
-            (f,) = set(row) & structural
-            i = col_branch[f]
-            segment_cols = set(row) - structural
-            assert i in lossy and row[f] == 1.0
-            assert len(segment_cols) == 2 * len(grid.branches[i].loss.segments(
-                cap=grid.branches[i].capacity))
-            assert not segment_cols & seen
-            seen |= segment_cols
-        assert seen == set(range(lp.n_vars)) - structural
+        # a flow costs (1 - lambda) loss(|f|) on [-cap, cap] and a production
+        # lambda cost(p) on [0, x_g], each less its value at 0, which the
+        # constant holds; at lambda = 1 a flow, and at 0 a production, is
+        # one segment of slope 0
+        assert lp.obj_constant == pytest.approx(
+            sum((1 - lam) * br.loss(0.0) for br in grid.branches)
+            + sum(lam * gen.cost(0.0) for gen in grid.generators.values()), rel=1e-12)
+        curves = [(vmap.flow_var[i], 1 - lam, lambda f, h=br.loss: h(abs(f)),
+                   -br.capacity, br.capacity) for i, br in enumerate(grid.branches)]
+        curves += [(vmap.gen_var[bus], lam, gen.cost, 0.0, gen.capacity)
+                   for bus, gen in grid.generators.items()]
+        for col, weight, fn, lower, upper in curves:
+            assert (lp.lower[col], lp.upper[col]) == (lower, upper)
+            if weight == 0.0:
+                assert lp.slopes[lp.cost_at[col]:lp.cost_at[col + 1]] == [0.0]
+            x = np.zeros(lp.n_vars)
+            for t in np.linspace(max(lower, -1e3), min(upper, 1e3), 7):
+                x[col] = t
+                assert lp.objective_value(x) - lp.obj_constant == pytest.approx(
+                    weight * (fn(t) - fn(0.0)), rel=1e-9, abs=1e-9)
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
@@ -242,7 +248,8 @@ def test_forest_feedback_lp_is_the_flow_lp(name, lam):
     assert hybrid.rows == flow.rows
     assert (hybrid.senses, hybrid.rhs) == (flow.senses, flow.rhs)
     assert (hybrid.lower, hybrid.upper) == (flow.lower, flow.upper)
-    assert (hybrid.obj, hybrid.obj_constant) == (flow.obj, flow.obj_constant)
+    assert (hybrid.cost_at, hybrid.slopes, hybrid.breaks, hybrid.obj_constant) == (
+        flow.cost_at, flow.slopes, flow.breaks, flow.obj_constant)
 
 
 def test_a_solver_point_off_the_voltage_law_raises(monkeypatch):
