@@ -5,9 +5,9 @@ the classical DC (electrical) model, and a hybrid model where a chosen set of
 buses may redistribute flow freely. The models are solved as LPs by an
 in-house bounded simplex (`lp_engine`) that prices each column's convex
 piecewise-linear cost in place, so the LP has one column per branch flow and
-per generator and one balance row per bus. `graph_algorithms` computes the block
-decomposition and exact vertex covers and forest/cactus feedback vertex sets,
-the candidate controller sets. `power_flow_models` writes the DC coupling as
+per generator and one balance row per bus. `graph_algorithms` computes exact
+vertex covers and forest/cactus feedback vertex sets, the candidate
+controller sets. `power_flow_models` writes the DC coupling as
 one voltage-law row per fundamental cycle of one spanning forest of the
 buses without a controller; the same cycles serve its angle recovery, its
 electrical-feasibility check of a fixed flow and its shift of a flow around

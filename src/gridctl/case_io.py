@@ -12,9 +12,12 @@ Supported grammar (subset of the MATPOWER 4.x .m format):
 
 `%` starts a comment; rows are whitespace-separated numbers terminated by `;`.
 Columns beyond the ones named above are ignored. rateA = 0 encodes an
-unlimited line per the MATPOWER convention. Generators and branches whose
-status is 0 or less are out of service and dropped; a branch row without the
-status column counts as in service. PMIN (gen column 10) is not modelled;
+unlimited line per the MATPOWER convention. A transformer's tap ratio
+(branch column 9, 0 meaning 1) divides its susceptance, as in MATPOWER's DC
+model; a branch in service with a non-zero phase shift (column 10) is
+rejected, as the shift is not modelled. Generators and branches whose status
+is 0 or less are out of service and dropped; a branch row without the status
+column counts as in service. PMIN (gen column 10) is not modelled;
 parsing warns about each generator in service whose PMIN is above 0.
 
 Grid construction samples polynomial generator costs into convex PWL curves on
@@ -70,6 +73,7 @@ class BranchRecord:
     resistance: float  # p.u.
     reactance: float  # p.u.
     rate_a: float  # MW; 0 = unlimited
+    tap: float = 1.0  # transformer off-nominal turns ratio
 
 
 @dataclass
@@ -216,7 +220,13 @@ def parse_case(text: str) -> RawCase:
         if row[5] < 0:
             raise MalformedCase(f"negative rateA {row[5]}", lineno)
         if len(row) <= 10 or row[10] > 0:
-            case.branches.append(BranchRecord(u, v, row[2], row[3], row[5]))
+            tap = row[8] if len(row) > 8 and row[8] != 0 else 1.0
+            if tap < 0:
+                raise MalformedCase(f"branch {u}-{v}: negative tap ratio {tap:g}", lineno)
+            if len(row) > 9 and row[9] != 0:
+                raise MalformedCase(f"branch {u}-{v}: phase shift {row[9]:g} is not modelled",
+                                    lineno)
+            case.branches.append(BranchRecord(u, v, row[2], row[3], row[5], tap))
 
     for g in case.generators:
         if g.bus not in bus_ids:
@@ -259,9 +269,10 @@ def _loss_curve(resistance: float, capacity: float, total_demand: float,
 def build_grid(raw: RawCase, sampling: SamplingConfig = SamplingConfig()) -> PowerGrid:
     """Build a PowerGrid from a parsed case.
 
-    Parallel circuits between the same bus pair are merged into one branch:
-    susceptances and capacities add, and the loss curve uses the parallel
-    combination of the circuit resistances. Raises NonConvexCost if a sampled
+    A circuit's susceptance is baseMVA / (x * tap). Parallel circuits
+    between the same bus pair are merged into one branch: susceptances and
+    capacities add, and the loss curve uses the parallel combination of the
+    circuit resistances. Raises NonConvexCost if a sampled
     polynomial cost turns out concave.
     """
     total_demand = raw.total_demand
@@ -292,7 +303,7 @@ def build_grid(raw: RawCase, sampling: SamplingConfig = SamplingConfig()) -> Pow
     for key in order:
         circuits = groups[key]
         first = circuits[0]
-        susceptance = sum(raw.base_mva / c.reactance for c in circuits)
+        susceptance = sum(raw.base_mva / (c.reactance * c.tap) for c in circuits)
         if any(c.rate_a == 0 for c in circuits):
             capacity = math.inf
         else:

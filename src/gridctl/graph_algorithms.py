@@ -1,12 +1,13 @@
-"""Topology machinery: biconnected blocks, cactus/forest tests, feedback sets.
+"""Topology machinery: biconnected blocks, cactus obstructions, feedback sets.
 
 All algorithms work on undirected multigraphs; parallel edges between the same
 pair of vertices form a 2-cycle (which a forest must not contain but a cactus
-may). One Hopcroft-Tarjan walk (``_blocks``) finds the blocks of the subgraph
-that a set of alive vertices induces; a block of two or more edges is a cycle
-when it has as many edges as vertices and complex when it has more. The
-feedback-set and vertex-cover searches are exact, and each checks the set it
-returns on the original graph, raising ``RuntimeError`` if the check fails.
+may). One Hopcroft-Tarjan walk (``biconnected_components``) yields the blocks
+of the subgraph that a set of alive vertices induces; a block of two or more
+edges is a cycle when it has as many edges as vertices and complex when it
+has more. The feedback-set and vertex-cover searches are exact, and each
+checks the set it returns on the original graph, raising ``RuntimeError`` if
+the check fails.
 The feedback search shrinks the graph with kernel rules that keep the
 optimum size, then runs a branch-and-bound seeded by a greedy incumbent; it
 finds its obstructions in place on each node's alive vertices, copying no
@@ -45,45 +46,16 @@ class Multigraph:
         """(edge index, other endpoint) pairs at v."""
         return self._adj[v]
 
-    def degree(self, v: int) -> int:
-        return len(self._adj[v])
-
-    def without_vertices(self, removed: Iterable[int]) -> "Multigraph":
-        gone = set(removed)
-        return Multigraph(
-            (v for v in self.vertices if v not in gone),
-            ((u, v) for u, v in self.edges if u not in gone and v not in gone),
-        )
-
     def __repr__(self):
         return f"Multigraph({len(self.vertices)} vertices, {len(self.edges)} edges)"
 
 
-class BlockKind(Enum):
-    SINGLE_EDGE = "single-edge"
-    CYCLE = "cycle"
-    COMPLEX = "complex"
-
-
-@dataclass(frozen=True)
-class Block:
-    edge_indices: frozenset[int]
-    vertices: frozenset[int]
-    kind: BlockKind
-
-
-@dataclass(frozen=True)
-class BlockDecomposition:
-    blocks: tuple[Block, ...]
-    cutvertices: frozenset[int]
-
-
-def _blocks(graph: Multigraph, alive: set[int]) -> Iterator[list[int]]:
+def biconnected_components(graph: Multigraph, alive: set[int]) -> Iterator[list[int]]:
     """Edge lists of the blocks of the subgraph that `alive` induces.
 
     One iterative Hopcroft-Tarjan walk: roots in vertex order, neighbours in
     edge order, dead neighbours skipped. Blocks come out in the order the
-    walk closes them.
+    walk closes them; parallel edges between one pair form a 2-cycle block.
     """
     disc: dict[int, int] = {}
     low: dict[int, int] = {}
@@ -125,51 +97,9 @@ def _blocks(graph: Multigraph, alive: set[int]) -> Iterator[list[int]]:
                     yield members
 
 
-def _block_vertices(graph: Multigraph, edge_indices: list[int]) -> set[int]:
-    return {x for i in edge_indices for x in graph.edges[i]}
-
-
-def biconnected_components(graph: Multigraph) -> BlockDecomposition:
-    """Block-cutvertex decomposition (iterative Hopcroft-Tarjan).
-
-    Every edge lands in exactly one block; parallel edges between one pair
-    form a 2-cycle block. Isolated vertices belong to no block. A block of
-    two or more edges is 2-connected, so it has at least as many edges as
-    vertices, with equality only for a cycle (an ear decomposition adds an
-    ear of k edges and k - 1 vertices at a time). A cut vertex is one that
-    lies in two or more blocks.
-    """
-    blocks: list[Block] = []
-    seen: set[int] = set()
-    cutvertices: set[int] = set()
-    for members in _blocks(graph, set(graph.vertices)):
-        vs = _block_vertices(graph, members)
-        cutvertices |= seen & vs
-        seen |= vs
-        if len(members) == 1:
-            kind = BlockKind.SINGLE_EDGE
-        else:
-            kind = BlockKind.COMPLEX if len(members) > len(vs) else BlockKind.CYCLE
-        blocks.append(Block(frozenset(members), frozenset(vs), kind))
-    return BlockDecomposition(tuple(blocks), frozenset(cutvertices))
-
-
-def is_forest(graph: Multigraph) -> bool:
-    """True iff the graph has no cycle (parallel edges count as a 2-cycle)."""
-    return all(b.kind is BlockKind.SINGLE_EDGE for b in biconnected_components(graph).blocks)
-
-
-def is_cactus(graph: Multigraph) -> bool:
-    """True iff every edge lies on at most one cycle."""
-    return all(b.kind is not BlockKind.COMPLEX for b in biconnected_components(graph).blocks)
-
-
 class TargetClass(Enum):
     FOREST = "forest"
     CACTUS = "cactus"
-
-    def check(self, graph: Multigraph) -> bool:
-        return is_forest(graph) if self is TargetClass.FOREST else is_cactus(graph)
 
 
 @dataclass(frozen=True)
@@ -195,7 +125,11 @@ def _shortest_cycle(graph: Multigraph, alive: set[int]) -> list[int] | None:
                 (twice if w in once else once).add(w)
         if twice:
             return [v, min(twice)]
+    # a BFS that ends with no cycle found has seen its whole component: a tree
+    acyclic: set[int] = set()
     for src in order:
+        if src in acyclic:
+            continue
         dist = {src: 0}
         parent: dict[int, tuple[int, int]] = {}
         queue = [src]
@@ -223,7 +157,9 @@ def _shortest_cycle(graph: Multigraph, alive: set[int]) -> list[int] | None:
                     cycle = px[:cut_x + 1] + py_set[:cut_y][::-1]
                     if len(cycle) >= 2 and (best is None or len(cycle) < len(best)):
                         best = cycle
-        if best is not None and len(best) <= 3:
+        if best is None:
+            acyclic.update(dist)
+        elif len(best) <= 3:
             break
     return best
 
@@ -269,8 +205,8 @@ def _cactus_obstruction(graph: Multigraph, alive: set[int]) -> list[int] | None:
     do.
     """
     block: set[int] | None = None
-    for members in _blocks(graph, alive):
-        vs = _block_vertices(graph, members)
+    for members in biconnected_components(graph, alive):
+        vs = {x for i in members for x in graph.edges[i]}
         if len(members) > len(vs) and (block is None or min(vs) < min(block)):
             block, e0 = vs, min(members)
     if block is None:
@@ -373,13 +309,15 @@ def min_feedback_set(graph: Multigraph, target: TargetClass) -> VertexSetResult:
     found in place on the node's alive vertices, with no subgraph copy. A
     node prunes with a packing of vertex-disjoint obstructions as the lower
     bound; the packing starts from the obstruction the node branches on.
-    The returned set is checked against the target class on the original
-    graph, and a set that fails raises ``RuntimeError``.
+    The returned set is checked on the original graph with the search's own
+    obstruction finder, and a set that leaves an obstruction raises
+    ``RuntimeError``. The independent checks live in ``tests/`` and in
+    ``bench/reference.py``.
     """
     kernel = _feedback_kernel(graph)
     best = _branch_and_bound_feedback(kernel, set(kernel.vertices), target,
                                       _greedy_feedback(kernel, target))
-    if not target.check(graph.without_vertices(best)):
+    if _obstruction(graph, set(graph.vertices) - best, target) is not None:
         raise RuntimeError(f"feedback set {sorted(best)} leaves no {target.value}")
     return VertexSetResult(frozenset(best))
 

@@ -55,7 +55,7 @@ def dcopf_generation_cost(raw: RawCase, points: int = 5) -> float:
     # bus balance: sum of outgoing B * (theta_u - theta_v) = production - demand
     balance = [np.zeros(n) for _ in range(nb)]
     for br in raw.branches:
-        b_val = raw.base_mva / br.reactance
+        b_val = raw.base_mva / (br.reactance * br.tap)
         u, v = bus_pos[br.from_bus], bus_pos[br.to_bus]
         balance[u][u] += b_val
         balance[u][v] -= b_val
@@ -79,7 +79,7 @@ def dcopf_generation_cost(raw: RawCase, points: int = 5) -> float:
         if br.rate_a <= 0:
             continue
         row = np.zeros(n)
-        b_val = raw.base_mva / br.reactance
+        b_val = raw.base_mva / (br.reactance * br.tap)
         row[bus_pos[br.from_bus]] = b_val
         row[bus_pos[br.to_bus]] = -b_val
         a_ub.append(row.copy())

@@ -205,6 +205,33 @@ def test_out_of_service_branch_dropped():
     assert br.susceptance == pytest.approx(100.0 / 0.1)
 
 
+def test_tap_ratio_divides_the_susceptance():
+    # case14's transformer 4-7 has x = 0.20912 and tap ratio 0.978 (MATPOWER makeBdc)
+    grid = get_case("case14")
+    (br,) = [b for b in grid.branches if {b.u, b.v} == {4, 7}]
+    assert br.susceptance == pytest.approx(100.0 / (0.20912 * 0.978), rel=1e-12)
+    # each parallel circuit brings its own tap; a ratio of 0 means 1
+    text = MINI.replace(
+        "    1 2 0.01 0.1 0 25 25 25 0 0 1;",
+        "    1 2 0.01 0.1 0 25 25 25 0.5 0 1;\n    1 2 0.02 0.2 0 15 15 15 0 0 1;",
+    )
+    assert build_grid(parse_case(text)).branches[0].susceptance == pytest.approx(
+        100 / (0.1 * 0.5) + 100 / 0.2)
+
+
+def test_phase_shift_and_negative_tap_rejected():
+    with pytest.raises(MalformedCase, match="phase shift"):
+        parse_case(MINI.replace("25 25 25 0 0 1;", "25 25 25 0 -3 1;"))
+    with pytest.raises(MalformedCase, match="negative tap"):
+        parse_case(MINI.replace("25 25 25 0 0 1;", "25 25 25 -0.9 0 1;"))
+    # a shift on a circuit out of service is never used
+    text = MINI.replace(
+        "    1 2 0.01 0.1 0 25 25 25 0 0 1;",
+        "    1 2 0.01 0.1 0 25 25 25 0 0 1;\n    1 2 0.02 0.2 0 15 15 15 0 4 0;",
+    )
+    assert len(parse_case(text).branches) == 1
+
+
 def test_positive_pmin_warns_naming_the_generators():
     # PMIN (gen column 10) is flagged, not modelled
     with pytest.warns(UserWarning, match=r"bus 1 \(50 MW\), bus 2 \(37.5 MW\), bus 3 \(45 MW\)"):

@@ -14,12 +14,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import Bounds, LinearConstraint, milp
 
+import block_oracle as oracle
 import gridctl.graph_algorithms as ga
-from gridctl.graph_algorithms import (BlockKind, Multigraph, TargetClass,
+from block_oracle import (block_vertices, degree, in_class, is_cactus,
+                          is_forest, without_vertices)
+from gridctl.graph_algorithms import (Multigraph, TargetClass,
                                       _cactus_obstruction, _feedback_kernel,
                                       _shortest_cycle, biconnected_components,
-                                      is_cactus, is_forest, min_feedback_set,
-                                      min_vertex_cover)
+                                      min_feedback_set, min_vertex_cover)
 
 from conftest import ALL_CASES, forest_feedback_set, get_case
 
@@ -116,7 +118,7 @@ def brute_blocks(g: Multigraph):
 def brute_min_feedback(g: Multigraph, target: TargetClass) -> int:
     for size in range(len(g.vertices) + 1):
         for vs in combinations(g.vertices, size):
-            if target.check(g.without_vertices(vs)):
+            if in_class(without_vertices(g, vs), target):
                 return size
     raise AssertionError("unreachable")
 
@@ -147,51 +149,82 @@ def milp_min_cover(g: Multigraph) -> int:
 
 # -- blocks ------------------------------------------------------------------
 
+def walk(g: Multigraph, alive=None) -> list[frozenset[int]]:
+    """The public walk's blocks, as edge-index sets."""
+    return [frozenset(b) for b in
+            biconnected_components(g, set(g.vertices if alive is None else alive))]
+
+
+def kind(g: Multigraph, block) -> str:
+    """The block's kind by the count rule `_cactus_obstruction` relies on:
+    a block of two or more edges is a cycle with as many edges as vertices
+    and complex with more."""
+    if len(block) == 1:
+        return "single-edge"
+    return "complex" if len(block) > len(block_vertices(g, block)) else "cycle"
+
+
+def walk_cutvertices(g: Multigraph) -> set[int]:
+    """Vertices that lie in two or more of the walk's blocks."""
+    seen, cut = set(), set()
+    for block in walk(g):
+        vs = block_vertices(g, block)
+        cut |= seen & vs
+        seen |= vs
+    return cut
+
+
 def test_triangle_is_one_cycle_block():
-    d = biconnected_components(TRIANGLE)
-    assert len(d.blocks) == 1
-    assert d.blocks[0].kind is BlockKind.CYCLE
-    assert not d.cutvertices
+    blocks = walk(TRIANGLE)
+    assert len(blocks) == 1
+    assert kind(TRIANGLE, blocks[0]) == "cycle"
+    assert not walk_cutvertices(TRIANGLE)
+    assert set(blocks) == brute_blocks(TRIANGLE)
 
 
 def test_path_has_two_single_edge_blocks():
-    d = biconnected_components(PATH3)
-    assert sorted(b.kind.value for b in d.blocks) == ["single-edge", "single-edge"]
-    assert d.cutvertices == {2}
+    blocks = walk(PATH3)
+    assert sorted(kind(PATH3, b) for b in blocks) == ["single-edge", "single-edge"]
+    assert walk_cutvertices(PATH3) == {2}
+    assert set(blocks) == brute_blocks(PATH3)
 
 
 def test_two_triangles_sharing_a_vertex():
-    d = biconnected_components(TWO_TRIANGLES)
-    assert len(d.blocks) == 2
-    assert all(b.kind is BlockKind.CYCLE for b in d.blocks)
-    assert d.cutvertices == {3}
-    assert {frozenset(b.edge_indices) for b in d.blocks} == brute_blocks(TWO_TRIANGLES)
+    blocks = walk(TWO_TRIANGLES)
+    assert len(blocks) == 2
+    assert all(kind(TWO_TRIANGLES, b) == "cycle" for b in blocks)
+    assert walk_cutvertices(TWO_TRIANGLES) == {3}
+    assert set(blocks) == brute_blocks(TWO_TRIANGLES)
 
 
 def test_parallel_edges_form_2_cycle_block():
-    d = biconnected_components(PARALLEL)
-    assert len(d.blocks) == 1 and d.blocks[0].kind is BlockKind.CYCLE
+    blocks = walk(PARALLEL)
+    assert len(blocks) == 1 and kind(PARALLEL, blocks[0]) == "cycle"
+    assert set(blocks) == brute_blocks(PARALLEL)
 
 
 def test_k4_is_complex():
-    d = biconnected_components(K4)
-    assert len(d.blocks) == 1 and d.blocks[0].kind is BlockKind.COMPLEX
+    blocks = walk(K4)
+    assert len(blocks) == 1 and kind(K4, blocks[0]) == "complex"
+    assert set(blocks) == brute_blocks(K4)
 
 
 def test_blocks_partition_edges_on_ieee_cases():
     for name in ALL_CASES:
         grid = get_case(name)
         g = Multigraph(grid.buses, grid.edges())
-        d = biconnected_components(g)
+        blocks = walk(g)
         counts = [0] * len(g.edges)
         vs_union = set()
-        for b in d.blocks:
-            vs_union |= b.vertices
-            for i in b.edge_indices:
+        for b in blocks:
+            vs_union |= block_vertices(g, b)
+            for i in b:
                 counts[i] += 1
         assert all(c == 1 for c in counts)
-        non_isolated = {v for v in g.vertices if g.degree(v) > 0}
+        non_isolated = {v for v in g.vertices if degree(g, v) > 0}
         assert vs_union == non_isolated
+        assert set(blocks) == oracle.blocks(g), name
+        assert walk_cutvertices(g) == oracle.cutvertices(g), name
 
 
 @settings(max_examples=60, deadline=None)
@@ -201,27 +234,27 @@ def test_blocks_match_brute_force_on_random_graphs(pairs):
     if not edges:
         return
     g = graph(edges)
-    d = biconnected_components(g)
-    assert {frozenset(b.edge_indices) for b in d.blocks} == brute_blocks(g)
-    for b in d.blocks:
-        deg = Counter(x for i in b.edge_indices for x in g.edges[i])
-        if len(b.edge_indices) == 1:
-            kind = BlockKind.SINGLE_EDGE
-        elif all(deg[v] == 2 for v in b.vertices):
-            kind = BlockKind.CYCLE
+    blocks = walk(g)
+    assert set(blocks) == brute_blocks(g)
+    for b in blocks:
+        deg = Counter(x for i in b for x in g.edges[i])
+        if len(b) == 1:
+            expected = "single-edge"
+        elif all(deg[v] == 2 for v in block_vertices(g, b)):
+            expected = "cycle"
         else:
-            kind = BlockKind.COMPLEX
-        assert b.kind is kind
+            expected = "complex"
+        assert kind(g, b) == expected
     # a cut vertex is one whose removal splits its component
     n_comps = len(components(g.vertices, g.edges))
-    assert d.cutvertices == {v for v in g.vertices
-                             if len(components(set(g.vertices) - {v}, g.edges)) > n_comps}
+    assert walk_cutvertices(g) == {v for v in g.vertices
+                                   if len(components(set(g.vertices) - {v}, g.edges)) > n_comps}
 
 
 # -- obstructions ------------------------------------------------------------
 
 def induced(g: Multigraph, alive) -> Multigraph:
-    return g.without_vertices(set(g.vertices) - set(alive))
+    return without_vertices(g, set(g.vertices) - set(alive))
 
 
 def brute_girth(g: Multigraph) -> int | None:
@@ -253,6 +286,16 @@ def random_multigraph(rng: random.Random) -> Multigraph:
     return Multigraph(range(n), edges)
 
 
+def test_walk_matches_the_oracle_on_random_induced_subgraphs():
+    rng = random.Random(2024)
+    for _ in range(500):
+        g = random_multigraph(rng)
+        alive = {v for v in g.vertices if rng.random() < 0.8}
+        blocks = walk(g, alive)
+        assert len(blocks) == len(set(blocks))
+        assert set(blocks) == oracle.blocks(g, alive)
+
+
 def test_obstruction_contracts_on_random_induced_subgraphs():
     rng = random.Random(1973)
     for _ in range(2000):
@@ -276,26 +319,51 @@ def test_obstruction_contracts_on_random_induced_subgraphs():
             assert len(cycle) == brute_girth(h)
 
 
+def test_shortest_cycle_on_sparse_forests_with_chords():
+    # several components, some of them trees: a BFS that found no cycle may
+    # skip its component, but one that found a cycle must not
+    rng = random.Random(4242)
+    for _ in range(500):
+        n = rng.randint(6, 14)
+        edges = [(v, rng.randrange(v)) for v in range(1, n) if rng.random() < 0.85]
+        edges += [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(1, 4))]
+        g = Multigraph(range(n), edges)
+        cycle = _shortest_cycle(g, set(g.vertices))
+        assert (None if cycle is None else len(cycle)) == brute_girth(g)
+
+
 # -- forest / cactus ---------------------------------------------------------
+
+def obstructions(g: Multigraph):
+    """The search's forest and cactus obstructions on the whole graph."""
+    alive = set(g.vertices)
+    return _shortest_cycle(g, alive), _cactus_obstruction(g, alive)
+
 
 def test_tree_is_forest_and_cactus():
     t = graph([(1, 2), (2, 3), (2, 4)])
     assert is_forest(t) and is_cactus(t)
+    assert obstructions(t) == (None, None)
 
 
 def test_triangle_not_forest_but_cactus():
     assert not is_forest(TRIANGLE)
     assert is_cactus(TRIANGLE)
+    cycle, pair = obstructions(TRIANGLE)
+    assert sorted(cycle) == [1, 2, 3] and pair is None
 
 
 def test_k4_neither():
     # K4 has edges on two cycles: verified by the brute-force block oracle
     assert not is_forest(K4) and not is_cactus(K4)
     assert brute_blocks(K4) == {frozenset(range(6))}
+    assert all(obs is not None for obs in obstructions(K4))
 
 
 def test_parallel_pair_cactus_but_not_forest():
     assert not is_forest(PARALLEL) and is_cactus(PARALLEL)
+    cycle, pair = obstructions(PARALLEL)
+    assert sorted(cycle) == [1, 2] and pair is None
 
 
 # -- feedback sets -----------------------------------------------------------
@@ -314,7 +382,7 @@ def test_feedback_self_certifies():
     for g in (K4, TWO_TRIANGLES, C5, PARALLEL):
         for target in TargetClass:
             res = min_feedback_set(g, target)
-            assert target.check(g.without_vertices(res.vertices))
+            assert in_class(without_vertices(g, res.vertices), target)
 
 
 def test_forest_feedback_at_least_cactus_feedback():
@@ -333,10 +401,10 @@ def test_ieee_cactus_sets_are_minimum():
         g = Multigraph(grid.buses, grid.edges())
         found = min_feedback_set(g, TargetClass.CACTUS).vertices
         assert len(found) == size, name
-        assert is_cactus(g.without_vertices(found)), name
+        assert is_cactus(without_vertices(g, found)), name
         if name != "case57" and size > 0:
             # no set with one vertex fewer leaves a cactus
-            assert not any(is_cactus(g.without_vertices(vs))
+            assert not any(is_cactus(without_vertices(g, vs))
                            for vs in combinations(g.vertices, size - 1)), name
 
 
@@ -383,7 +451,7 @@ def test_feedback_exactness_on_random_graphs(pairs):
     for target in TargetClass:
         res = min_feedback_set(g, target)
         assert len(res.vertices) == brute_min_feedback(g, target)
-        assert target.check(g.without_vertices(res.vertices))
+        assert in_class(without_vertices(g, res.vertices), target)
 
 
 def subdivided(edges, first_new, pieces):
@@ -455,7 +523,7 @@ def test_exactness_on_sparse_graphs(g):
     for target in TargetClass:
         res = min_feedback_set(g, target)
         assert len(res.vertices) == brute_min_feedback(g, target)
-        assert target.check(g.without_vertices(res.vertices))
+        assert in_class(without_vertices(g, res.vertices), target)
     cover = min_vertex_cover(g).vertices
     assert len(cover) == brute_min_cover(g)
     assert all(u in cover or v in cover for u, v in g.edges)

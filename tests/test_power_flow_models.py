@@ -11,7 +11,7 @@ import textwrap
 import numpy as np
 import pytest
 
-from gridctl.graph_algorithms import Multigraph, is_cactus
+from gridctl.graph_algorithms import Multigraph
 from gridctl.grid_model import (Branch, ControlSet, Flow, Generator, PowerGrid,
                                 UnknownBus, check_feasible, flow_cost,
                                 net_outflow)
@@ -26,6 +26,7 @@ from gridctl.power_flow_models import (AngleCheck, CycleEdge, InfeasibleModel,
 from gridctl.pwl import constant_zero
 from gridctl import case_io
 
+from block_oracle import block_vertices, blocks, is_cactus
 from conftest import (ALL_CASES, forest_feedback_set, get_case, linear_cost,
                       scipy_check, triangle_grid, two_bus_grid)
 from dcopf_oracle import dcopf_generation_cost
@@ -614,20 +615,18 @@ def test_blockwise_feasibility_matches_whole_graph():
         grid = PowerGrid(range(1, n + 1), branches, {}, {})
         flow = Flow(grid, [rng.uniform(-10, 10) for _ in branches])
         whole = check_electrical_feasibility(grid, flow, grid.buses, tol=1e-7)
-        from gridctl.graph_algorithms import Multigraph, biconnected_components
         sub = Multigraph(grid.buses, grid.edges())
         per_block = True
-        for block in biconnected_components(sub).blocks:
-            ok = _block_feasible(grid, flow, block, tol=1e-7)
+        for block in blocks(sub):
+            ok = _block_feasible(grid, flow, block_vertices(sub, block), block, tol=1e-7)
             per_block = per_block and ok
         assert whole.feasible == per_block
 
 
-def _block_feasible(grid, flow, block, tol):
-    buses = set(block.vertices)
+def _block_feasible(grid, flow, buses, edge_indices, tol):
     sub_branches = []
     sub_values = []
-    for i in sorted(block.edge_indices):
+    for i in sorted(edge_indices):
         br = grid.branches[i]
         sub_branches.append(br)
         sub_values.append(flow.values[i])
@@ -638,7 +637,8 @@ def _block_feasible(grid, flow, block, tol):
 
 def test_package_loads_numpy_only():
     # Importing scipy costs about as much start-up as numpy itself, so no
-    # gridctl module and no solve may pull it in.
+    # gridctl module and no solve may pull it in; networkx, the tests' block
+    # oracle, stays out too.
     script = textwrap.dedent("""
         import importlib, pkgutil, sys, warnings
         import gridctl
@@ -647,7 +647,8 @@ def test_package_loads_numpy_only():
         from gridctl.power_flow_models import electrical_model, solve_model
         warnings.simplefilter("ignore")
         solve_model(gridctl.load_case("case9"), electrical_model(), 1.0)
-        print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+        print(sorted(name for name in sys.modules
+                     if name.split(".")[0] in ("scipy", "networkx")))
     """)
     src = os.path.dirname(os.path.dirname(os.path.abspath(case_io.__file__)))
     done = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
