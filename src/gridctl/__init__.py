@@ -14,12 +14,11 @@ electrical-feasibility check of a fixed flow and its shift of a flow around
 the cycles of a cactus.
 """
 
-from .case_io import SamplingConfig, build_grid, load_case, parse_case
+from .case_io import build_grid, load_case, parse_case
 from .grid_model import (ControlSet, Flow, PowerGrid, check_feasible,
                          flow_cost, net_outflow)
 
 __all__ = [
-    "SamplingConfig",
     "build_grid",
     "load_case",
     "parse_case",

@@ -10,9 +10,11 @@ Supported grammar (subset of the MATPOWER 4.x .m format):
     mpc.gencost = [ <rows> ];    % model startup shutdown n c(n-1) ... c0
                                  %   or, for model 1: n pairs x1 y1 x2 y2 ...
 
-`%` starts a comment; rows are whitespace-separated numbers terminated by `;`.
-Columns beyond the ones named above are ignored. rateA = 0 encodes an
-unlimited line per the MATPOWER convention. A transformer's tap ratio
+`%` starts a comment that runs to the end of its line. A matrix runs from
+`[` to `]`, and one without its closing `]` is rejected; its rows are
+whitespace-separated numbers, each ended by `;` or a line break. Columns
+beyond the ones named above are ignored. rateA = 0 encodes an unlimited
+line per the MATPOWER convention. A transformer's tap ratio
 (branch column 9, 0 meaning 1) divides its susceptance, as in MATPOWER's DC
 model; a branch in service with a non-zero phase shift (column 10) is
 rejected, as the shift is not modelled. Generators and branches whose status
@@ -22,7 +24,9 @@ parsing warns about each generator in service whose PMIN is above 0.
 
 Grid construction samples polynomial generator costs into convex PWL curves on
 [0, Pmax], derives each branch loss curve as the PWL sampling of the ohmic
-approximation r * f^2 / baseMVA, and merges parallel circuits between the same
+approximation r * f^2 / baseMVA (both at a fixed 5 equally spaced points),
+keeps a model-1 cost's breakpoints as given (its last piece prices
+production up to Pmax), and merges parallel circuits between the same
 bus pair into a single branch (susceptances add, capacities add, parallel
 resistance law for the loss curve), so the built grid is a simple graph.
 """
@@ -33,12 +37,12 @@ import math
 import re
 import warnings
 from dataclasses import dataclass, field
+from functools import reduce
 from importlib import resources
-from typing import Iterable
 
 from . import pwl
 from .grid_model import Branch, Generator, PowerGrid
-from .pwl import NonConvexCost, PiecewiseLinearConvex
+from .pwl import PiecewiseLinearConvex
 
 
 class MalformedCase(ValueError):
@@ -54,7 +58,6 @@ class DanglingBranch(MalformedCase):
 @dataclass(frozen=True)
 class BusRecord:
     bus_id: int
-    bus_type: int
     demand: float  # Pd, MW
 
 
@@ -89,83 +92,49 @@ class RawCase:
         return sum(b.demand for b in self.buses)
 
 
-@dataclass(frozen=True)
-class SamplingConfig:
-    """Number of equally spaced samples used to linearize cost curves."""
-
-    points: int = 5
-
-    def __post_init__(self):
-        if self.points < 2:
-            raise ValueError("sampling needs at least 2 points")
-
-
-_MATRIX_OPEN = re.compile(r"mpc\.(\w+)\s*=\s*\[(.*)$")
-_BASE_MVA = re.compile(r"mpc\.baseMVA\s*=\s*([0-9eE.+-]+)\s*;")
+_SAMPLES = 5  # equally spaced samples per sampled cost or loss curve
 _NAME = re.compile(r"function\s+mpc\s*=\s*(\w+)")
-
-
-def _strip_comment(line: str) -> str:
-    return line.split("%", 1)[0]
+_BASE_MVA = re.compile(r"mpc\.baseMVA\s*=\s*([0-9eE.+-]+)\s*;")
+_MATRIX = re.compile(r"mpc\.(\w+)\s*=\s*\[([^\[\]]*)(\]?)")
 
 
 def parse_case(text: str) -> RawCase:
     """Parse a MATPOWER case definition into a RawCase.
 
-    Raises MalformedCase (with the offending line number) on missing matrices,
-    short rows or non-numeric cells, and DanglingBranch when a branch endpoint
-    does not appear in the bus table.
+    Raises MalformedCase (with the offending line number) on missing or
+    unclosed matrices, short rows or non-numeric cells, and DanglingBranch
+    when a branch endpoint does not appear in the bus table.
     """
-    name = ""
-    base_mva: float | None = None
-    matrices: dict[str, list[tuple[int, list[float]]]] = {}
-    current: str | None = None
+    text = "\n".join(line.split("%", 1)[0] for line in text.splitlines())
 
-    for lineno, raw_line in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw_line).strip()
-        if not line:
-            continue
-        if current is None:
-            m = _NAME.search(line)
-            if m:
-                name = m.group(1)
-                continue
-            m = _BASE_MVA.search(line)
-            if m:
-                try:
-                    base_mva = float(m.group(1))
-                except ValueError:
-                    raise MalformedCase(f"bad baseMVA value {m.group(1)!r}", lineno)
-                continue
-            m = _MATRIX_OPEN.search(line)
-            if m:
-                current = m.group(1)
-                matrices.setdefault(current, [])
-                line = m.group(2).strip()
-                if not line:
-                    continue
-                # fall through: data may start on the same line
-            else:
-                continue  # unknown statement, ignored
-        # inside a matrix block
-        closed = False
-        if "]" in line:
-            line = line.split("]", 1)[0]
-            closed = True
-        for chunk in line.split(";"):
-            chunk = chunk.strip()
-            if not chunk:
-                continue
-            try:
-                row = [float(tok) for tok in chunk.split()]
-            except ValueError:
-                raise MalformedCase(f"non-numeric cell in mpc.{current}: {chunk!r}", lineno)
-            matrices[current].append((lineno, row))
-        if closed:
-            current = None
+    def line_at(pos: int) -> int:
+        return text.count("\n", 0, pos) + 1
 
-    if base_mva is None:
+    m = _NAME.search(text)
+    name = m.group(1) if m else ""
+    m = _BASE_MVA.search(text)
+    if m is None:
         raise MalformedCase("missing mpc.baseMVA")
+    try:
+        base_mva = float(m.group(1))
+    except ValueError:
+        raise MalformedCase(f"bad baseMVA value {m.group(1)!r}", line_at(m.start()))
+
+    matrices: dict[str, list[tuple[int, list[float]]]] = {}
+    for m in _MATRIX.finditer(text):
+        matrix, body, closed = m.groups()
+        if not closed:
+            raise MalformedCase(f"mpc.{matrix} is not closed with ]", line_at(m.start()))
+        rows = matrices[matrix] = []
+        for lineno, line in enumerate(body.split("\n"), start=line_at(m.start(2))):
+            for chunk in line.split(";"):
+                chunk = chunk.strip()
+                if not chunk:
+                    continue
+                try:
+                    rows.append((lineno, [float(tok) for tok in chunk.split()]))
+                except ValueError:
+                    raise MalformedCase(f"non-numeric cell in mpc.{matrix}: {chunk!r}", lineno)
     for required in ("bus", "gen", "branch", "gencost"):
         if required not in matrices:
             raise MalformedCase(f"missing matrix mpc.{required}")
@@ -175,7 +144,7 @@ def parse_case(text: str) -> RawCase:
     for lineno, row in matrices["bus"]:
         if len(row) < 3:
             raise MalformedCase(f"bus row needs at least 3 columns, got {len(row)}", lineno)
-        case.buses.append(BusRecord(int(row[0]), int(row[1]), row[2]))
+        case.buses.append(BusRecord(int(row[0]), row[2]))
 
     gencost_rows = matrices["gencost"]
     ngen = len(matrices["gen"])
@@ -235,38 +204,28 @@ def parse_case(text: str) -> RawCase:
     return case
 
 
-def _polynomial(coeffs: Iterable[float]):
-    cs = list(coeffs)  # highest order first
-
-    def poly(x: float) -> float:
-        acc = 0.0
-        for c in cs:
-            acc = acc * x + c
-        return acc
-
-    return poly
-
-
-def _generator_cost(rec: GenRecord, points: int) -> PiecewiseLinearConvex:
+def _generator_cost(rec: GenRecord) -> PiecewiseLinearConvex:
+    cs = rec.cost_coefficients
     if rec.cost_model == 1:
-        xs = list(rec.cost_coefficients[0::2])
-        ys = list(rec.cost_coefficients[1::2])
-        return pwl.from_breakpoints(xs, ys)
-    poly = _polynomial(rec.cost_coefficients)
+        return pwl.from_breakpoints(cs[0::2], cs[1::2])
+
+    def poly(x: float) -> float:  # Horner's rule, highest order first
+        return reduce(lambda acc, c: acc * x + c, cs, 0.0)
+
     if rec.p_max <= 0:
         return PiecewiseLinearConvex(((0.0, poly(0.0)),), 0.0)
-    return pwl.from_samples(poly, rec.p_max, points)
+    return pwl.from_samples(poly, rec.p_max, _SAMPLES)
 
 
 def _loss_curve(resistance: float, capacity: float, total_demand: float,
-                base_mva: float, points: int) -> PiecewiseLinearConvex:
+                base_mva: float) -> PiecewiseLinearConvex:
     if resistance <= 0:
         return pwl.constant_zero()
     hi = min(capacity, 2.0 * total_demand)
-    return pwl.from_samples(lambda f: resistance * f * f / base_mva, hi, points)
+    return pwl.from_samples(lambda f: resistance * f * f / base_mva, hi, _SAMPLES)
 
 
-def build_grid(raw: RawCase, sampling: SamplingConfig = SamplingConfig()) -> PowerGrid:
+def build_grid(raw: RawCase) -> PowerGrid:
     """Build a PowerGrid from a parsed case.
 
     A circuit's susceptance is baseMVA / (x * tap). Parallel circuits
@@ -285,23 +244,18 @@ def build_grid(raw: RawCase, sampling: SamplingConfig = SamplingConfig()) -> Pow
     for rec in raw.generators:
         if rec.bus in generators:
             raise MalformedCase(f"multiple generators on bus {rec.bus} not supported")
-        generators[rec.bus] = Generator(rec.p_max, _generator_cost(rec, sampling.points))
+        generators[rec.bus] = Generator(rec.p_max, _generator_cost(rec))
 
     # group parallel circuits; first occurrence fixes the branch's position
     groups: dict[tuple[int, int], list[BranchRecord]] = {}
-    order: list[tuple[int, int]] = []
     for rec in raw.branches:
         if rec.reactance <= 0:
             raise MalformedCase(f"branch {rec.from_bus}-{rec.to_bus}: reactance must be positive")
         key = (min(rec.from_bus, rec.to_bus), max(rec.from_bus, rec.to_bus))
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(rec)
+        groups.setdefault(key, []).append(rec)
 
     branches = []
-    for key in order:
-        circuits = groups[key]
+    for circuits in groups.values():
         first = circuits[0]
         susceptance = sum(raw.base_mva / (c.reactance * c.tap) for c in circuits)
         if any(c.rate_a == 0 for c in circuits):
@@ -312,7 +266,7 @@ def build_grid(raw: RawCase, sampling: SamplingConfig = SamplingConfig()) -> Pow
             resistance = 0.0
         else:
             resistance = 1.0 / sum(1.0 / c.resistance for c in circuits)
-        loss = _loss_curve(resistance, capacity, total_demand, raw.base_mva, sampling.points)
+        loss = _loss_curve(resistance, capacity, total_demand, raw.base_mva)
         branches.append(Branch(first.from_bus, first.to_bus, susceptance, capacity, loss))
 
     return PowerGrid(
@@ -341,6 +295,6 @@ def read_case_text(name_or_path: str) -> str:
         return fh.read()
 
 
-def load_case(name_or_path: str, sampling: SamplingConfig = SamplingConfig()) -> PowerGrid:
+def load_case(name_or_path: str) -> PowerGrid:
     """Parse and build a grid in one step."""
-    return build_grid(parse_case(read_case_text(name_or_path)), sampling)
+    return build_grid(parse_case(read_case_text(name_or_path)))

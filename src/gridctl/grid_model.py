@@ -26,10 +26,10 @@ class UnknownBus(KeyError):
 
 
 class DomainExceeded(ValueError):
-    """Generator production outside its cost curve's domain."""
+    """Generator production outside its box [0, capacity]."""
 
 
-_DOMAIN_TOL = 1e-6  # production may leave its domain by this times check_feasible's bus scale
+_DOMAIN_TOL = 1e-6  # production may leave its box by this times check_feasible's bus scale
 
 
 @dataclass(frozen=True)
@@ -253,9 +253,9 @@ def flow_cost(grid: PowerGrid, flow: Flow, lam: float) -> CostBreakdown:
         production = net_outflow(grid, flow, bus) + grid.demand(bus)
         lo, hi = grid.net_outflow_bounds(bus)
         slack = _DOMAIN_TOL * (1 + max(abs(lo), abs(hi)))
-        if production < -slack or production > gen.cost.domain_max + slack:
+        if production < -slack or production > gen.capacity + slack:
             raise DomainExceeded(
-                f"bus {bus}: production {production:.6g} outside [0, {gen.cost.domain_max:.6g}]")
-        c_g += gen.cost(min(max(production, 0.0), gen.cost.domain_max))
+                f"bus {bus}: production {production:.6g} outside [0, {gen.capacity:.6g}]")
+        c_g += gen.cost(min(max(production, 0.0), gen.capacity))
     c_l = sum(br.loss(abs(flow.values[i])) for i, br in enumerate(grid.branches))
     return CostBreakdown(c_g, c_l, lam * c_g + (1.0 - lam) * c_l)

@@ -299,33 +299,23 @@ def _angle_check(grid: PowerGrid, flow: Flow, native: set[int], roots: list[int]
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CycleEdge:
-    tail: int
-    head: int
-    susceptance: float
-    flow: float  # oriented tail -> head
-
-
-def cycle_equivalent_flow(cycle: Sequence[CycleEdge]) -> tuple[float, list[float]]:
+def cycle_equivalent_flow(susceptances: Sequence[float],
+                          flows: Sequence[float]) -> tuple[float, list[float]]:
     """Shift a cycle flow by the unique offset that satisfies the DC coupling.
 
-    delta = -(sum f_i/B_i) / (sum 1/B_i); adding delta to every oriented edge
-    flow preserves all net out-flows and zeroes the cycle's coupling residual.
+    susceptances[k] and flows[k] belong to the cycle's k-th edge, the flow
+    oriented along one traversal of the cycle. delta = -(sum f_k/B_k) /
+    (sum 1/B_k); adding delta to every oriented edge flow preserves all net
+    out-flows and zeroes the cycle's coupling residual. NotACycle is raised
+    for fewer than two edges or a susceptance that is not positive.
     """
-    if len(cycle) < 2:
+    if len(susceptances) < 2:
         raise NotACycle("a cycle needs at least two edges")
-    heads = [e.head for e in cycle]
-    for k, e in enumerate(cycle):
-        if e.susceptance <= 0:
-            raise NotACycle("susceptance must be positive")
-        if e.head != cycle[(k + 1) % len(cycle)].tail:
-            raise NotACycle("edges are not consecutively oriented")
-    if len(set(heads)) != len(heads):
-        raise NotACycle("repeated vertex")
-    weight = sum(1.0 / e.susceptance for e in cycle)
-    delta = -sum(e.flow / e.susceptance for e in cycle) / weight
-    return delta, [e.flow + delta for e in cycle]
+    if min(susceptances) <= 0:
+        raise NotACycle("susceptance must be positive")
+    weight = sum(1.0 / b for b in susceptances)
+    delta = -sum(f / b for f, b in zip(flows, susceptances, strict=True)) / weight
+    return delta, [f + delta for f in flows]
 
 
 def cactus_equivalent_flow(grid: PowerGrid, controls: Iterable[int],
@@ -347,9 +337,8 @@ def cactus_equivalent_flow(grid: PowerGrid, controls: Iterable[int],
         if any(e in on_cycle for e, _tail in cycle):
             raise NotACactus("native subgraph has an edge on two cycles")
         on_cycle.update(e for e, _tail in cycle)
-        oriented = [CycleEdge(tail, grid.branches[e].other(tail), grid.branches[e].susceptance,
-                              flow.value(e, tail)) for e, tail in cycle]
-        _delta, shifted = cycle_equivalent_flow(oriented)
+        _delta, shifted = cycle_equivalent_flow([grid.branches[e].susceptance for e, _ in cycle],
+                                                [flow.value(e, tail) for e, tail in cycle])
         for (e, tail), value in zip(cycle, shifted):
             new_flow.values[e] = value if grid.branches[e].u == tail else -value
 

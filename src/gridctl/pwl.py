@@ -97,6 +97,6 @@ def from_breakpoints(xs: Sequence[float], ys: Sequence[float]) -> PiecewiseLinea
     return PiecewiseLinearConvex(tuple(pieces), float(xs[-1]))
 
 
-def constant_zero(domain_max: float = math.inf) -> PiecewiseLinearConvex:
-    """The all-zero function (lossless line)."""
-    return PiecewiseLinearConvex(((0.0, 0.0),), domain_max)
+def constant_zero() -> PiecewiseLinearConvex:
+    """The all-zero function on [0, inf) (lossless line)."""
+    return PiecewiseLinearConvex(((0.0, 0.0),), math.inf)

@@ -6,8 +6,8 @@ import warnings
 import pytest
 
 from gridctl import case_io
-from gridctl.case_io import (DanglingBranch, MalformedCase, SamplingConfig,
-                             build_grid, parse_case)
+from gridctl.case_io import DanglingBranch, MalformedCase, build_grid, parse_case
+from gridctl.power_flow_models import flow_model, solve_model
 from gridctl.pwl import NonConvexCost
 
 from conftest import ALL_CASES, get_case
@@ -21,6 +21,19 @@ EXPECTED = {
     "case39": (39, 46, 10, 6254.23),
     "case57": (57, 78, 7, 1250.80),
     "case118": (118, 179, 54, 4242.00),
+}
+
+# parsed records per bundled case: (buses, generators, branches) in service,
+# and sums of Pd, Pmax, r, x, rateA, tap and of every gencost coefficient
+PARSED = {
+    "case6ww": ((6, 3, 11), (210.0, 530.0, 0.94, 2.61, 570.0, 11.0, 685.95663)),
+    "case9": ((9, 3, 9), (315.0, 820.0, 0.1184, 0.8595, 2100.0, 9.0, 1092.5175)),
+    "case14": ((14, 5, 20), (259.0, 772.4, 1.23268, 4.02683, 198000.0, 19.879, 160.3230293)),
+    "case30": ((30, 6, 41), (189.2, 335.0, 3.12, 8.24, 1954.0, 41.0, 14.15834)),
+    "case39": ((39, 10, 46), (6254.23, 7367.0, 0.0596, 0.8773, 33780.0, 46.391, 5.1)),
+    "case57": ((57, 7, 80), (1250.8, 1975.88, 5.5644, 19.4436, 792000.0, 79.447, 200.4120598)),
+    "case118": ((118, 54, 186), (4242.0, 9966.2, 5.10337, 19.85673, 1841400.0, 185.59,
+                                 1786.0817768762536)),
 }
 
 MINI = """
@@ -47,6 +60,21 @@ def test_case30_raw_counts():
     assert len(raw.buses) == 30
     assert len(raw.branches) == 41
     assert len(raw.generators) == 6
+
+
+@pytest.mark.parametrize("name", ALL_CASES)
+def test_parsed_contents_are_pinned(name):
+    raw = parse_case(case_io.read_case_text(name))
+    counts, sums = PARSED[name]
+    assert (len(raw.buses), len(raw.generators), len(raw.branches)) == counts
+    assert (sum(b.demand for b in raw.buses),
+            sum(g.p_max for g in raw.generators),
+            sum(b.resistance for b in raw.branches),
+            sum(b.reactance for b in raw.branches),
+            sum(b.rate_a for b in raw.branches),
+            sum(b.tap for b in raw.branches),
+            sum(c for g in raw.generators for c in g.cost_coefficients)) == pytest.approx(
+        sums, rel=1e-12)
 
 
 def test_case57_total_demand():
@@ -85,8 +113,34 @@ def test_missing_matrix_rejected():
 
 def test_non_numeric_cell_reports_line():
     bad = MINI.replace("1 2 0.01 0.1 0 25", "1 2 oops 0.1 0 25")
-    with pytest.raises(MalformedCase, match="line"):
+    with pytest.raises(MalformedCase, match="line") as err:
         parse_case(bad)
+    assert err.value.line == 12
+    assert str(err.value).startswith("line 12: non-numeric cell in mpc.branch")
+
+
+def test_bad_base_mva_reports_line():
+    with pytest.raises(MalformedCase, match="bad baseMVA") as err:
+        parse_case(MINI.replace("mpc.baseMVA = 100;", "mpc.baseMVA = 1.0.0;"))
+    assert err.value.line == 3
+
+
+@pytest.mark.parametrize("old, new", [
+    ("mpc.bus = [\n    1 3", "mpc.bus = [    1 3"),  # a row on the opening line
+    ("0 0 1 1.1 0.9;  % consumer", "0 0 1 1.1 0.9  % consumer"),  # a row ended by a line break
+])
+def test_row_layouts_parse_alike(old, new):
+    assert MINI.count(old) == 1
+    assert repr(parse_case(MINI.replace(old, new))) == repr(parse_case(MINI))
+
+
+def test_unclosed_matrix_rejected():
+    with pytest.raises(MalformedCase, match="mpc.bus") as err:
+        parse_case(MINI.replace("% consumer\n];", "% consumer\n;"))
+    assert err.value.line == 4
+    # the last matrix of the file needs its closing bracket too
+    with pytest.raises(MalformedCase, match="line 14: mpc.gencost is not closed"):
+        parse_case(MINI.replace("2 0 0 3 0.02 2 0;\n];", "2 0 0 3 0.02 2 0;\n"))
 
 
 def test_short_row_rejected():
@@ -96,7 +150,7 @@ def test_short_row_rejected():
 
 
 def test_mini_grid_shapes():
-    grid = build_grid(parse_case(MINI), SamplingConfig(points=3))
+    grid = build_grid(parse_case(MINI))
     assert grid.buses == (1, 2)
     assert grid.consumers == {2: 10.0}
     assert set(grid.generators) == {1}
@@ -106,12 +160,14 @@ def test_mini_grid_shapes():
 
 
 def test_generator_cost_sampling_secant_construction():
-    grid = build_grid(parse_case(MINI), SamplingConfig(points=3))
+    grid = build_grid(parse_case(MINI))
     cost = grid.generators[1].cost
-    # 0.02 p^2 + 2 p on [0, 50]: secants over [0,25] and [25,50]
-    assert len(cost.pieces) == 2
-    assert cost.pieces[0][0] == pytest.approx(2 + 0.02 * 25)
-    assert cost.pieces[1][0] == pytest.approx(2 + 0.02 * 75)
+    # 0.02 p^2 + 2 p at 5 points on [0, 50]: secants over quarters of 12.5 MW,
+    # slope 2 + 0.02 (p0 + p1) each
+    assert len(cost.pieces) == 4
+    assert [a for a, _ in cost.pieces] == pytest.approx([2.25, 2.75, 3.25, 3.75])
+    for p in (0.0, 12.5, 25.0, 37.5, 50.0):
+        assert cost(p) == pytest.approx(0.02 * p * p + 2 * p)
     slopes = [a for a, _ in cost.pieces]
     assert slopes == sorted(slopes)
 
@@ -128,6 +184,21 @@ def test_pwl_gencost_model_1():
     cost = grid.generators[1].cost
     assert cost(20.0) == pytest.approx(50.0)
     assert cost(50.0) == pytest.approx(200.0)
+
+
+def test_model_1_cost_prices_production_up_to_pmax():
+    # breakpoints end at 20 MW, Pmax is 50: the LP and flow_cost both extend
+    # the last piece to Pmax, so serving 30 MW costs 2 * 30
+    text = (MINI.replace("2 0 0 3 0.02 2 0", "1 0 0 2 0 0 20 40")
+            .replace("1 2 0.01 0.1 0 25", "1 2 0.01 0.1 0 0")
+            .replace("2 1 10  5", "2 1 30  5"))
+    grid = build_grid(parse_case(text))
+    assert grid.generators[1].cost.domain_max == 20.0
+    sol = solve_model(grid, flow_model(), 1.0)
+    assert sol.objective == pytest.approx(60.0)
+    assert sol.costs.generation == pytest.approx(60.0)
+    # loss 0.01 * 30^2 / 100 sits on a sample point of [0, 2 * 30]
+    assert solve_model(grid, flow_model(), 0.5).costs.weighted == pytest.approx(30.045)
 
 
 def test_unsupported_cost_model_rejected():
@@ -155,7 +226,7 @@ def test_zero_rate_a_means_unlimited():
 
 
 def test_loss_curve_is_sampled_ohmic_loss():
-    grid = build_grid(parse_case(MINI), SamplingConfig(points=5))
+    grid = build_grid(parse_case(MINI))
     loss = grid.branches[0].loss
     # domain capped at min(capacity, 2 * total demand) = min(25, 20) = 20
     assert loss.domain_max == pytest.approx(20.0)

@@ -17,7 +17,7 @@ from gridctl.grid_model import (Branch, ControlSet, Flow, Generator, PowerGrid,
                                 net_outflow)
 from gridctl import lp_engine
 from gridctl.lp_engine import LpStatus, NumericalBreakdown, solve_lp
-from gridctl.power_flow_models import (AngleCheck, CycleEdge, InfeasibleModel,
+from gridctl.power_flow_models import (AngleCheck, InfeasibleModel,
                                        ModelKind, NotACactus, NotACycle,
                                        build_lp, cactus_equivalent_flow,
                                        check_electrical_feasibility,
@@ -382,8 +382,8 @@ def test_theorem_suite_forests_always_feasible():
 
 
 def cycle_edges(bs, fs):
-    n = len(bs)
-    return [CycleEdge(k + 1, (k + 1) % n + 1, bs[k], fs[k]) for k in range(n)]
+    """Susceptances and oriented flows of the cycle 1 -> 2 -> ... -> n -> 1."""
+    return list(bs), list(fs)
 
 
 def solve_cycle_system(bs, fs):
@@ -401,7 +401,7 @@ def solve_cycle_system(bs, fs):
 
 
 def test_cycle_shift_b_uniform():
-    delta, shifted = cycle_equivalent_flow(cycle_edges([1.0, 1.0, 1.0], [3.0, 0.0, 0.0]))
+    delta, shifted = cycle_equivalent_flow(*cycle_edges([1.0, 1.0, 1.0], [3.0, 0.0, 0.0]))
     assert delta == pytest.approx(-1.0)
     assert shifted == pytest.approx([2.0, -1.0, -1.0])
     assert delta == pytest.approx(solve_cycle_system([1, 1, 1], [3, 0, 0]))
@@ -414,13 +414,13 @@ def test_cycle_shift_already_feasible():
     bs2 = [1.0, 1.0, 1.0]
     fs2 = [0.5, 0.5, 0.5]
     fs2 = [0.5, -0.25, -0.25]
-    delta, shifted = cycle_equivalent_flow(cycle_edges(bs2, [0.0, 0.0, 0.0]))
+    delta, shifted = cycle_equivalent_flow(*cycle_edges(bs2, [0.0, 0.0, 0.0]))
     assert delta == 0.0
     assert shifted == [0.0, 0.0, 0.0]
 
 
 def test_cycle_shift_mixed_susceptances():
-    delta, shifted = cycle_equivalent_flow(cycle_edges([1.0, 2.0, 2.0], [4.0, 4.0, 4.0]))
+    delta, shifted = cycle_equivalent_flow(*cycle_edges([1.0, 2.0, 2.0], [4.0, 4.0, 4.0]))
     assert delta == pytest.approx(-(4 + 2 + 2) / (1 + 0.5 + 0.5)) == pytest.approx(-4.0)
     assert shifted == pytest.approx([0.0, 0.0, 0.0])
     assert delta == pytest.approx(solve_cycle_system([1.0, 2.0, 2.0], [4.0, 4.0, 4.0]))
@@ -428,9 +428,11 @@ def test_cycle_shift_mixed_susceptances():
 
 def test_not_a_cycle_rejected():
     with pytest.raises(NotACycle):
-        cycle_equivalent_flow([CycleEdge(1, 2, 1.0, 0.0)])
+        cycle_equivalent_flow([1.0], [0.0])
     with pytest.raises(NotACycle):
-        cycle_equivalent_flow([CycleEdge(1, 2, 1.0, 0.0), CycleEdge(3, 1, 1.0, 0.0)])
+        cycle_equivalent_flow([1.0, 0.0], [0.0, 0.0])
+    with pytest.raises(ValueError):  # one flow per susceptance
+        cycle_equivalent_flow([1.0, 1.0], [0.0])
 
 
 def test_lemma_suite_random_cycles():
@@ -439,7 +441,7 @@ def test_lemma_suite_random_cycles():
         n = rng.randint(2, 12)
         bs = [rng.uniform(0.1, 10.0) for _ in range(n)]
         fs = [rng.uniform(-30.0, 30.0) for _ in range(n)]
-        delta, shifted = cycle_equivalent_flow(cycle_edges(bs, fs))
+        delta, shifted = cycle_equivalent_flow(*cycle_edges(bs, fs))
         # closed form matches the direct linear-system solve
         assert delta == pytest.approx(solve_cycle_system(bs, fs), abs=1e-9 * (1 + abs(delta)))
         # cycle coupling residual vanishes
@@ -451,7 +453,7 @@ def test_lemma_suite_random_cycles():
             assert after == pytest.approx(before, abs=1e-9)
         # susceptance-ratio bound applies to nonnegative cycle flows
         fs_pos = [abs(f) for f in fs]
-        d_pos, _ = cycle_equivalent_flow(cycle_edges(bs, fs_pos))
+        d_pos, _ = cycle_equivalent_flow(*cycle_edges(bs, fs_pos))
         bound = (max(bs) / min(bs)) * sum(fs_pos) / n
         assert abs(d_pos) <= bound + 1e-9
 
