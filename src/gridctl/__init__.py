@@ -15,14 +15,12 @@ the cycles of a cactus.
 """
 
 from .case_io import build_grid, load_case, parse_case
-from .grid_model import (ControlSet, Flow, PowerGrid, check_feasible,
-                         flow_cost, net_outflow)
+from .grid_model import Flow, PowerGrid, check_feasible, flow_cost, net_outflow
 
 __all__ = [
     "build_grid",
     "load_case",
     "parse_case",
-    "ControlSet",
     "Flow",
     "PowerGrid",
     "check_feasible",

@@ -94,7 +94,7 @@ class RawCase:
 
 _SAMPLES = 5  # equally spaced samples per sampled cost or loss curve
 _NAME = re.compile(r"function\s+mpc\s*=\s*(\w+)")
-_BASE_MVA = re.compile(r"mpc\.baseMVA\s*=\s*([0-9eE.+-]+)\s*;")
+_BASE_MVA = re.compile(r"mpc\.baseMVA\s*=\s*([0-9eE.+-]+)[ \t]*(?:;|$)", re.M)
 _MATRIX = re.compile(r"mpc\.(\w+)\s*=\s*\[([^\[\]]*)(\]?)")
 
 
@@ -102,8 +102,9 @@ def parse_case(text: str) -> RawCase:
     """Parse a MATPOWER case definition into a RawCase.
 
     Raises MalformedCase (with the offending line number) on missing or
-    unclosed matrices, short rows or non-numeric cells, and DanglingBranch
-    when a branch endpoint does not appear in the bus table.
+    unclosed matrices, short rows or non-numeric or non-finite (NaN, Inf)
+    cells, and DanglingBranch when a branch endpoint does not appear in the
+    bus table.
     """
     text = "\n".join(line.split("%", 1)[0] for line in text.splitlines())
 
@@ -132,9 +133,12 @@ def parse_case(text: str) -> RawCase:
                 if not chunk:
                     continue
                 try:
-                    rows.append((lineno, [float(tok) for tok in chunk.split()]))
+                    cells = [float(tok) for tok in chunk.split()]
                 except ValueError:
                     raise MalformedCase(f"non-numeric cell in mpc.{matrix}: {chunk!r}", lineno)
+                if not all(map(math.isfinite, cells)):
+                    raise MalformedCase(f"non-finite cell in mpc.{matrix}: {chunk!r}", lineno)
+                rows.append((lineno, cells))
     for required in ("bus", "gen", "branch", "gencost"):
         if required not in matrices:
             raise MalformedCase(f"missing matrix mpc.{required}")
@@ -232,13 +236,16 @@ def build_grid(raw: RawCase) -> PowerGrid:
     between the same bus pair are merged into one branch: susceptances and
     capacities add, and the loss curve uses the parallel combination of the
     circuit resistances. Raises NonConvexCost if a sampled
-    polynomial cost turns out concave.
+    polynomial cost turns out concave, and MalformedCase for a case with
+    no demand.
     """
     total_demand = raw.total_demand
     consumers = {b.bus_id: b.demand for b in raw.buses if b.demand > 0}
     for b in raw.buses:
         if b.demand < 0:
             raise MalformedCase(f"negative demand at bus {b.bus_id} not supported")
+    if not consumers:
+        raise MalformedCase(f"{raw.name or 'case'}: total demand is 0, nothing to dispatch")
 
     generators: dict[int, Generator] = {}
     for rec in raw.generators:

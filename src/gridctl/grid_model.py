@@ -1,4 +1,4 @@
-"""Core domain types: power grids, branch flows, control sets, and flow costs.
+"""Core domain types: power grids, branch flows and flow costs.
 
 A grid is an undirected multigraph of buses and branches. Branches carry a
 susceptance (MW per radian of angle difference), a thermal capacity in MW
@@ -15,8 +15,8 @@ therefore always has total production equal to total demand.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from dataclasses import dataclass, field
+from typing import Iterable, Mapping, NamedTuple
 
 from .pwl import PiecewiseLinearConvex, constant_zero
 
@@ -128,17 +128,6 @@ class PowerGrid:
             return (-d, -d)
         return (-d, gen.capacity - d)
 
-    def with_branches(self, branches: Iterable[Branch]) -> "PowerGrid":
-        return PowerGrid(self.buses, branches, self.generators, self.consumers,
-                         self.base_mva, self.name)
-
-    def scale_capacities(self, factor: float) -> "PowerGrid":
-        """New grid with every finite branch capacity multiplied by factor."""
-        return self.with_branches(
-            br if math.isinf(br.capacity) else replace(br, capacity=br.capacity * factor)
-            for br in self.branches
-        )
-
     def edges(self) -> list[tuple[int, int]]:
         return [(br.u, br.v) for br in self.branches]
 
@@ -172,24 +161,6 @@ class Flow:
 
     def copy(self) -> "Flow":
         return Flow(self.grid, list(self.values))
-
-    def __iter__(self) -> Iterator[float]:
-        return iter(self.values)
-
-
-class ControlSet(frozenset):
-    """Subset of buses acting as flow-control buses."""
-
-    def __new__(cls, members: Iterable[int] = ()):
-        return super().__new__(cls, members)
-
-    @classmethod
-    def validated(cls, members: Iterable[int], grid: PowerGrid) -> "ControlSet":
-        cs = cls(members)
-        unknown = cs - set(grid.buses)
-        if unknown:
-            raise UnknownBus(f"control buses not in grid: {sorted(unknown)}")
-        return cs
 
 
 class Violation(NamedTuple):
@@ -226,20 +197,20 @@ def check_feasible(grid: PowerGrid, flow: Flow, tol: float = 1e-6) -> Feasibilit
 
     Checks branch capacities, conservation at pass-through buses, consumer
     satisfaction and (demand-netted) generator bounds. Empty report means the
-    flow is feasible within tol.
+    flow is feasible within tol; a NaN value is a violation.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
     out: list[Violation] = []
     for i, br in enumerate(grid.branches):
         excess = abs(flow.values[i]) - br.capacity
-        if excess > tol * (1.0 + br.capacity):
+        if not excess <= tol * (1.0 + br.capacity):
             out.append(Violation("capacity", i, excess))
     for bus in grid.buses:
         f_net = net_outflow(grid, flow, bus)
         lo, hi = grid.net_outflow_bounds(bus)
         miss = max(lo - f_net, f_net - hi)
-        if miss > tol * (1.0 + max(abs(lo), abs(hi))):
+        if not miss <= tol * (1.0 + max(abs(lo), abs(hi))):
             kind = ("generator" if bus in grid.generators
                     else "consumer" if bus in grid.consumers else "conservation")
             out.append(Violation(kind, bus, miss))
@@ -253,7 +224,7 @@ def flow_cost(grid: PowerGrid, flow: Flow, lam: float) -> CostBreakdown:
         production = net_outflow(grid, flow, bus) + grid.demand(bus)
         lo, hi = grid.net_outflow_bounds(bus)
         slack = _DOMAIN_TOL * (1 + max(abs(lo), abs(hi)))
-        if production < -slack or production > gen.capacity + slack:
+        if not -slack <= production <= gen.capacity + slack:
             raise DomainExceeded(
                 f"bus {bus}: production {production:.6g} outside [0, {gen.capacity:.6g}]")
         c_g += gen.cost(min(max(production, 0.0), gen.capacity))

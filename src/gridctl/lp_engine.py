@@ -124,14 +124,6 @@ class LinearProgram:
         self.rhs.append(rhs)
         return len(self.rows) - 1
 
-    def set_objective(self, coeffs: dict[int, float], constant: float = 0.0) -> None:
-        """Linear costs a * x_j of one-segment columns, and the constant."""
-        for j, a in coeffs.items():
-            if math.isnan(a) or self.cost_at[j + 1] - self.cost_at[j] != 1:
-                raise ValueError(f"column {j}: a linear cost needs one segment and a number")
-            self.slopes[self.cost_at[j]] = a
-        self.obj_constant = constant
-
     def segments(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Column, left end, right end and slope of each cost segment, in order."""
         n, at = self.n_vars, np.array(self.cost_at)
@@ -164,12 +156,15 @@ class LinearProgram:
         return r_idx, c_idx, vals
 
     def feasibility_violation(self, x) -> float:
-        """Largest scaled constraint/bound violation of x (0 when feasible).
+        """Largest scaled constraint/bound violation of x (0 when feasible,
+        inf when an entry of x is not finite).
 
         A bound violation is divided by 1 + the smaller finite |bound| of its
         column (1 when both are infinite), a row violation by 1 + |rhs|.
         """
         x = np.asarray(x, dtype=float)
+        if not np.isfinite(x).all():
+            return INF
         lo, hi = np.array(self.lower), np.array(self.upper)
         nearest = np.minimum(np.abs(lo), np.abs(hi))
         scale = 1.0 + np.where(np.isinf(nearest), 0.0, nearest)

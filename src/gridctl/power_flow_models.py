@@ -33,7 +33,7 @@ from typing import Iterable, Sequence
 from . import lp_engine
 # not called here: bench/tracing.py counts calls through this module's name
 from .graph_algorithms import biconnected_components  # noqa: F401
-from .grid_model import (ControlSet, CostBreakdown, Flow, PowerGrid,
+from .grid_model import (CostBreakdown, Flow, PowerGrid, UnknownBus,
                          check_feasible, flow_cost)
 from .lp_engine import LinearProgram, LpStatus
 from .pwl import PiecewiseLinearConvex
@@ -56,17 +56,17 @@ class ModelKind:
     """One of the three dispatch models; hybrid carries its control set."""
 
     name: str  # "flow" | "electrical" | "hybrid"
-    controls: ControlSet = ControlSet()
-
-    def control_set(self, grid: PowerGrid) -> ControlSet:
-        if self.name == "flow":
-            return ControlSet(grid.buses)
-        if self.name == "electrical":
-            return ControlSet()
-        return ControlSet.validated(self.controls, grid)
+    controls: frozenset[int] = frozenset()
 
     def native_vertices(self, grid: PowerGrid) -> set[int]:
-        return set(grid.buses) - self.control_set(grid)
+        """The buses without a controller; UnknownBus names any control bus
+        that is not in the grid."""
+        if self.name == "flow":
+            return set()
+        unknown = self.controls - set(grid.buses)
+        if unknown:
+            raise UnknownBus(f"control buses not in grid: {sorted(unknown)}")
+        return set(grid.buses) - self.controls
 
     def __str__(self):
         if self.name == "hybrid":
@@ -83,7 +83,7 @@ def electrical_model() -> ModelKind:
 
 
 def hybrid_model(controls: Iterable[int]) -> ModelKind:
-    return ModelKind("hybrid", ControlSet(controls))
+    return ModelKind("hybrid", frozenset(controls))
 
 
 @dataclass
@@ -287,8 +287,8 @@ def _angle_check(grid: PowerGrid, flow: Flow, native: set[int], roots: list[int]
     for i in _cotree(grid, native, tree):
         br = grid.branches[i]
         resid = flow.values[i] - br.susceptance * (theta[br.u] - theta[br.v])
-        max_resid = max(max_resid, abs(resid))
-        if abs(resid) > tol * (1.0 + abs(flow.values[i])):
+        max_resid = max(abs(resid), max_resid)  # this order keeps a NaN residual
+        if not abs(resid) <= tol * (1.0 + abs(flow.values[i])):
             cycle = [e for e, _tail in _fundamental_cycle(grid, tree, i)]
             return AngleCheck(False, None, cycle, max_resid)
     return AngleCheck(True, theta, None, max_resid)
@@ -328,7 +328,7 @@ def cactus_equivalent_flow(grid: PowerGrid, controls: Iterable[int],
     subgraph; capacity violations introduced by the shifts are reported
     alongside rather than silently accepted.
     """
-    native = set(grid.buses) - ControlSet.validated(controls, grid)
+    native = hybrid_model(controls).native_vertices(grid)
     _roots, tree = _native_forest(grid, native)
     on_cycle: set[int] = set()
     new_flow = flow.copy()

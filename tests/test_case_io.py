@@ -119,10 +119,31 @@ def test_non_numeric_cell_reports_line():
     assert str(err.value).startswith("line 12: non-numeric cell in mpc.branch")
 
 
+@pytest.mark.parametrize("old, new, line", [
+    ("2 1 10  5", "2 1 NaN  5", 6),  # a NaN Pd would drop the bus's demand
+    ("1 2 0.01 0.1 0 25", "1 2 0.01 0.1 0 Inf", 12),
+])
+def test_non_finite_cell_reports_line(old, new, line):
+    with pytest.raises(MalformedCase, match="non-finite cell") as err:
+        parse_case(MINI.replace(old, new))
+    assert err.value.line == line
+
+
 def test_bad_base_mva_reports_line():
     with pytest.raises(MalformedCase, match="bad baseMVA") as err:
         parse_case(MINI.replace("mpc.baseMVA = 100;", "mpc.baseMVA = 1.0.0;"))
     assert err.value.line == 3
+
+
+def test_base_mva_needs_no_semicolon():
+    raw = parse_case(MINI.replace("mpc.baseMVA = 100;", "mpc.baseMVA = 100"))
+    assert repr(raw) == repr(parse_case(MINI))
+
+
+def test_zero_demand_case_is_rejected_by_name():
+    raw = parse_case(MINI.replace("2 1 10  5", "2 1 0  5"))
+    with pytest.raises(MalformedCase, match="mini: total demand is 0"):
+        build_grid(raw)
 
 
 @pytest.mark.parametrize("old, new", [

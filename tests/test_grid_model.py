@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import math
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -125,10 +123,9 @@ def test_flow_cost_direct_evaluation():
 
 
 def test_flow_cost_is_affine_in_lambda():
-    grid = two_bus_grid(demand=10.0)
     lossy = Branch(1, 2, 100.0, 20.0,
                    PiecewiseLinearConvex(((0.5, 0.0), (1.5, -5.0)), 20.0))
-    grid = grid.with_branches([lossy])
+    grid = PowerGrid([1, 2], [lossy], {1: Generator(100.0, linear_cost(1.0, 100.0))}, {2: 10.0})
     flow = Flow(grid, [10.0])
     vals = [flow_cost(grid, flow, lam).weighted for lam in (0.0, 0.5, 1.0)]
     assert vals[1] == pytest.approx((vals[0] + vals[2]) / 2)
@@ -174,13 +171,6 @@ def test_parallel_branches_have_independent_flows():
 def test_self_loop_rejected():
     with pytest.raises(ValueError):
         Branch(3, 3, 1.0)
-
-
-def test_scale_capacities_keeps_unlimited():
-    grid = PowerGrid([1, 2, 3], [Branch(1, 2, 1.0, 10.0), Branch(2, 3, 1.0)], {}, {})
-    scaled = grid.scale_capacities(0.5)
-    assert scaled.branches[0].capacity == 5.0
-    assert math.isinf(scaled.branches[1].capacity)
 
 
 @settings(max_examples=100, deadline=None)

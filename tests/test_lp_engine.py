@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -83,13 +84,12 @@ def feasibility_violation_loop(lp: LinearProgram, x) -> float:
 def random_lp(rng: np.random.Generator, n_vars: int, n_rows: int,
               anchor: bool = False) -> LinearProgram:
     """Random bounded LP; `anchor` builds the rhs around a feasible point."""
-    lp = LinearProgram()
-    for j in range(n_vars):
+    boxes = []
+    for _ in range(n_vars):
         lo = float(rng.integers(-10, 1))
-        hi = lo + float(rng.integers(0, 15))
-        lp.add_variable(f"v{j}", lo, hi)
-    x0 = np.array([lp.lower[j] + rng.random() * (lp.upper[j] - lp.lower[j])
-                   for j in range(n_vars)])
+        boxes.append((lo, lo + float(rng.integers(0, 15))))
+    x0 = np.array([lo + rng.random() * (hi - lo) for lo, hi in boxes])
+    rows = []
     for _ in range(n_rows):
         k = int(rng.integers(1, min(4, n_vars) + 1))
         cols = rng.choice(n_vars, size=k, replace=False)
@@ -104,8 +104,15 @@ def random_lp(rng: np.random.Generator, n_vars: int, n_rows: int,
             rhs = act + slack if sense == "<=" else act - slack if sense == ">=" else act
         else:
             rhs = float(rng.integers(-15, 16))
-        lp.add_constraint(coeffs, sense, rhs)
-    lp.set_objective({j: float(rng.integers(-9, 10)) for j in range(n_vars)})
+        rows.append((coeffs, sense, rhs))
+    # the costs are drawn last, after the rows, so each seed gives the same LPs
+    # as when the costs were set on a built LP
+    costs = [float(rng.integers(-9, 10)) for _ in range(n_vars)]
+    lp = LinearProgram()
+    for j, ((lo, hi), c) in enumerate(zip(boxes, costs)):
+        lp.add_variable(f"v{j}", lo, hi, slopes=(c,))
+    for row in rows:
+        lp.add_constraint(*row)
     return lp
 
 
@@ -168,9 +175,8 @@ def exact_ray_certifies(lp: LinearProgram, y: np.ndarray) -> bool:
 
 def test_min_x_subject_to_x_ge_3():
     lp = LinearProgram()
-    x = lp.add_variable("x", 0.0, math.inf)
+    x = lp.add_variable("x", 0.0, math.inf, slopes=(1.0,))
     lp.add_constraint({x: 1.0}, ">=", 3.0)
-    lp.set_objective({x: 1.0})
     sol = solve_lp(lp)
     assert sol.status == LpStatus.OPTIMAL
     assert sol.values[x] == pytest.approx(3.0)
@@ -182,7 +188,6 @@ def test_conflicting_rows_infeasible_with_certificate():
     x = lp.add_variable("x", -100.0, 100.0)
     r1 = lp.add_constraint({x: 1.0}, "<=", 1.0)
     r2 = lp.add_constraint({x: 1.0}, ">=", 2.0)
-    lp.set_objective({})
     sol = solve_lp(lp)
     assert sol.status == LpStatus.INFEASIBLE
     assert sol.ray is not None and np.any(sol.ray != 0)
@@ -197,9 +202,8 @@ def test_conflicting_rows_infeasible_with_certificate():
 
 def test_unbounded_with_ray():
     lp = LinearProgram()
-    x = lp.add_variable("x", -math.inf, math.inf)
+    x = lp.add_variable("x", -math.inf, math.inf, slopes=(1.0,))
     lp.add_constraint({x: 1.0}, "<=", 5.0)
-    lp.set_objective({x: 1.0})
     sol = solve_lp(lp)
     assert sol.status == LpStatus.UNBOUNDED
     ray = sol.ray
@@ -209,10 +213,9 @@ def test_unbounded_with_ray():
 
 def test_free_variable_equality():
     lp = LinearProgram()
-    x = lp.add_variable("x", -math.inf, math.inf)
-    y = lp.add_variable("y", 0.0, 10.0)
+    x = lp.add_variable("x", -math.inf, math.inf, slopes=(2.0,))
+    y = lp.add_variable("y", 0.0, 10.0, slopes=(1.0,))
     lp.add_constraint({x: 1.0, y: 1.0}, "=", 4.0)
-    lp.set_objective({x: 2.0, y: 1.0})
     sol = solve_lp(lp)
     assert sol.status == LpStatus.OPTIMAL
     assert sol.values[y] == pytest.approx(10.0)
@@ -223,8 +226,7 @@ def test_free_variable_equality():
 def test_bound_flip_path():
     # optimum forces a nonbasic variable from the lower to the upper bound
     lp = LinearProgram()
-    x = lp.add_variable("x", -2.0, 3.0)
-    lp.set_objective({x: -1.0})
+    x = lp.add_variable("x", -2.0, 3.0, slopes=(-1.0,))
     sol = solve_lp(lp)
     assert sol.values[x] == pytest.approx(3.0)
 
@@ -233,8 +235,7 @@ def test_box_without_rows_reaches_either_bound():
     # x starts at 0, inside [-1, 2], and may move either way
     for cost, expected in ((1.0, -1.0), (-1.0, 2.0)):
         lp = LinearProgram()
-        x = lp.add_variable("x", -1.0, 2.0)
-        lp.set_objective({x: cost})
+        x = lp.add_variable("x", -1.0, 2.0, slopes=(cost,))
         sol = solve_lp(lp)
         assert sol.status == LpStatus.OPTIMAL
         assert sol.values[x] == expected
@@ -245,14 +246,13 @@ def test_empty_rows_and_a_column_in_no_row():
     # the column-sorted store; two rows have no structural entry, so only
     # their slacks reach them and every row sum needs its full length.
     lp = LinearProgram()
-    x = lp.add_variable("x", 0.0, 5.0)
-    y = lp.add_variable("y", 0.0, 5.0)
-    z = lp.add_variable("z", 0.0, 4.0)
+    x = lp.add_variable("x", 0.0, 5.0, slopes=(1.0,))
+    y = lp.add_variable("y", 0.0, 5.0, slopes=(2.0,))
+    z = lp.add_variable("z", 0.0, 4.0, slopes=(-1.0,))
     lp.add_constraint({x: 1.0, y: 1.0}, ">=", 2.0)
     empty_le = lp.add_constraint({}, "<=", 3.0)
     empty_eq = lp.add_constraint({}, "=", 0.0)
     lp.add_constraint({y: 1.0, x: -1.0}, "<=", 1.0)
-    lp.set_objective({x: 1.0, y: 2.0, z: -1.0})
     sol = solve_lp(lp)
     assert sol.status == LpStatus.OPTIMAL
     assert sol.objective == pytest.approx(-2.0)
@@ -273,10 +273,9 @@ def test_empty_row_that_cannot_hold_is_infeasible():
 def test_column_starting_inside_its_box_stays_there_with_zero_reduced_cost():
     lp = LinearProgram()
     x = lp.add_variable("x", -1.0, 2.0)
-    y = lp.add_variable("y", 0.0, 3.0)
+    y = lp.add_variable("y", 0.0, 3.0, slopes=(1.0,))
     lp.add_constraint({x: 1.0, y: 1.0}, "<=", 10.0)
     r = lp.add_constraint({y: 1.0}, ">=", 1.0)
-    lp.set_objective({y: 1.0})
     sol = solve_lp(lp)
     assert sol.status == LpStatus.OPTIMAL
     assert sol.values[x] == 0.0  # nonbasic at its start, strictly inside [-1, 2]
@@ -296,11 +295,10 @@ def test_ratio_test_passes_over_a_rounding_noise_pivot():
     # then stopped at x = 0 and called it optimal.
     p, big = 9.0, 1.8e8
     lp = LinearProgram()
-    x1 = lp.add_variable("x1", 0.0, 10.0)
-    x2 = lp.add_variable("x2", 0.0, 10.0)
+    x1 = lp.add_variable("x1", 0.0, 10.0, slopes=(-2.0,))
+    x2 = lp.add_variable("x2", 0.0, 10.0, slopes=(-1.0,))
     lp.add_constraint({x1: p, x2: -big}, "<=", 0.0)
     lp.add_constraint({x1: 7.0, x2: -7.0 * big / p}, "=", 0.0)
-    lp.set_objective({x1: -2.0, x2: -1.0})
     sol = solve_lp(lp)
     assert sol.status == LpStatus.OPTIMAL
     assert sol.values[x1] == pytest.approx(10.0)
@@ -317,11 +315,10 @@ def test_harris_slack_of_a_row_shrinks_with_its_coefficients():
     # objective of -36. Scaled by the row's largest coefficient the slack
     # admits only x1 = 1e-9, so row 0 blocks and the optimum is 0 at x = 0.
     lp = LinearProgram()
-    x0 = lp.add_variable("x0", 0.0, 6.0)
-    x1 = lp.add_variable("x1", 0.0, 6.0)
+    x0 = lp.add_variable("x0", 0.0, 6.0, slopes=(-6.0,))
+    x1 = lp.add_variable("x1", 0.0, 6.0, slopes=(1.0,))
     lp.add_constraint({x1: -0.001}, "=", 0.0)
     lp.add_constraint({x0: -2e-5, x1: 400.0}, "=", 0.0)
-    lp.set_objective({x0: -6.0, x1: 1.0})
     sol = solve_lp(lp)
     assert sol.status == LpStatus.OPTIMAL
     assert sol.objective == pytest.approx(0.0, abs=1e-9)
@@ -407,12 +404,28 @@ def test_infeasible_needs_a_farkas_certificate(monkeypatch):
         solve_lp(lp)
 
 
+def test_a_nan_in_the_optimal_point_is_a_breakdown(monkeypatch):
+    lp = LinearProgram()
+    x = lp.add_variable("x", 0.0, 10.0, slopes=(1.0,))
+    lp.add_constraint({x: 1.0}, ">=", 3.0)
+    phase2 = lp_engine._Simplex.phase2
+
+    def nan_phase2(self):
+        status = phase2(self)
+        self.x[:] = math.nan
+        return status
+
+    monkeypatch.setattr(lp_engine._Simplex, "phase2", nan_phase2)
+    assert lp.feasibility_violation([math.nan]) == math.inf
+    with pytest.raises(NumericalBreakdown, match="primal residual inf"):
+        solve_lp(lp)
+
+
 def test_duals_and_weak_duality_on_fixed_lp():
     lp = LinearProgram()
-    x = lp.add_variable("x", 0.0, 10.0)
-    y = lp.add_variable("y", 0.0, 10.0)
+    x = lp.add_variable("x", 0.0, 10.0, slopes=(3.0,))
+    y = lp.add_variable("y", 0.0, 10.0, slopes=(1.0,))
     r = lp.add_constraint({x: 1.0, y: 2.0}, ">=", 8.0)
-    lp.set_objective({x: 3.0, y: 1.0})
     sol = solve_lp(lp)
     assert sol.objective == pytest.approx(4.0)  # y = 4
     # complementary slackness: active row, dual reproduces objective change
@@ -694,16 +707,15 @@ def test_crash_takes_equality_rows_and_columns_with_room(monkeypatch):
     crashes = record_crashes(monkeypatch)
     lp = LinearProgram()
     free = lp.add_variable("free", -math.inf, math.inf)
-    boxed = lp.add_variable("boxed", -1.0, 2.0)
-    inner = lp.add_variable("inner", -1.0, 1.0)
-    at_lower = lp.add_variable("at_lower", 0.0, 5.0)
+    boxed = lp.add_variable("boxed", -1.0, 2.0, slopes=(1.0,))
+    inner = lp.add_variable("inner", -1.0, 1.0, slopes=(-1.0,))
+    at_lower = lp.add_variable("at_lower", 0.0, 5.0, slopes=(1.0,))
     fixed = lp.add_variable("fixed", 0.0, 0.0)
     # the free column wins, though the boxed one has fewer entries
     pick = lp.add_constraint({free: 1.0, boxed: 2.0}, "=", 0.0)
     inequality = lp.add_constraint({free: 1.0, inner: 1.0}, "<=", 1.0)
     residual = lp.add_constraint({inner: 1.0}, "=", 0.5)  # nonzero residual
     bounds = lp.add_constraint({at_lower: 1.0, fixed: 1.0}, "=", 3.0)  # column at a bound
-    lp.set_objective({boxed: 1.0, inner: -1.0, at_lower: 1.0})
     spx = lp_engine._Simplex(lp)
     rows, cols, point, res = crashes[-1]
     assert dict(zip(rows.tolist(), cols.tolist())) == {pick: free, residual: inner,
@@ -733,20 +745,20 @@ def test_crash_serves_the_row_with_fewest_candidates_first():
 def crash_lp(rng: np.random.Generator) -> LinearProgram:
     """Random LP with free, interior, at-bound and fixed columns, about half
     of whose rows are equalities with a zero right-hand side."""
-    lp = LinearProgram()
     n = int(rng.integers(2, 8))
-    for j in range(n):
+    boxes = []
+    for _ in range(n):
         kind = int(rng.integers(0, 4))
         if kind == 0:
-            lo, hi = -math.inf, math.inf
+            boxes.append((-math.inf, math.inf))
         elif kind == 1:
-            lo, hi = -float(rng.integers(1, 10)), float(rng.integers(1, 10))
+            boxes.append((-float(rng.integers(1, 10)), float(rng.integers(1, 10))))
         elif kind == 2:
-            lo, hi = 0.0, float(rng.integers(0, 10))  # at a bound, fixed at 0 when hi = 0
+            boxes.append((0.0, float(rng.integers(0, 10))))  # at a bound, fixed at 0 when hi = 0
         else:
             lo = float(rng.integers(-10, 1))
-            hi = lo + float(rng.integers(0, 15))
-        lp.add_variable(f"v{j}", lo, hi)
+            boxes.append((lo, lo + float(rng.integers(0, 15))))
+    rows = []
     for _ in range(int(rng.integers(1, 9))):
         k = int(rng.integers(1, min(4, n) + 1))
         coeffs = {int(j): float(rng.integers(-5, 6)) for j in rng.choice(n, size=k, replace=False)}
@@ -754,11 +766,16 @@ def crash_lp(rng: np.random.Generator) -> LinearProgram:
         if not coeffs:
             continue
         if rng.random() < 0.5:
-            lp.add_constraint(coeffs, "=", 0.0)
+            rows.append((coeffs, "=", 0.0))
         else:
-            lp.add_constraint(coeffs, ["<=", ">=", "="][int(rng.integers(0, 3))],
-                              float(rng.integers(-15, 16)))
-    lp.set_objective({j: float(rng.integers(-9, 10)) for j in range(n)})
+            rows.append((coeffs, ["<=", ">=", "="][int(rng.integers(0, 3))],
+                         float(rng.integers(-15, 16))))
+    costs = [float(rng.integers(-9, 10)) for _ in range(n)]  # last, as in random_lp
+    lp = LinearProgram()
+    for j, ((lo, hi), c) in enumerate(zip(boxes, costs)):
+        lp.add_variable(f"v{j}", lo, hi, slopes=(c,))
+    for row in rows:
+        lp.add_constraint(*row)
     return lp
 
 
@@ -885,7 +902,11 @@ def test_power_flow_lps_meet_kkt(case, kind, lam, capacity):
     # The subgradient conditions, checked on the segment LP of `expand`: at
     # 0.7 of their capacity, case39's lines bind, so reduced costs are nonzero
     model = electrical_model() if kind == "electrical" else flow_model()
-    lp, _vmap = build_lp(get_case(case).scale_capacities(capacity), model, lam)
+    grid = get_case(case)
+    grid = PowerGrid(grid.buses,
+                     [replace(br, capacity=br.capacity * capacity) for br in grid.branches],
+                     grid.generators, grid.consumers, grid.base_mva, grid.name)
+    lp, _vmap = build_lp(grid, model, lam)
     sol = solve_lp(lp)
     ref = scipy_check(lp)
     assert sol.status == LpStatus.OPTIMAL and ref.status == 0

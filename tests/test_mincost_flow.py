@@ -160,9 +160,9 @@ def test_saturation_order_respects_slopes():
 
 def test_cancellation_never_increases_grid_cost():
     # force flow on both directed copies of one branch, lift, compare
-    grid = two_bus_grid(demand=10.0, slope=1.0)
     loss = from_samples(lambda f: 0.02 * f * f, 20.0, 3)
-    grid = grid.with_branches([Branch(1, 2, 100.0, 20.0, loss)])
+    grid = PowerGrid([1, 2], [Branch(1, 2, 100.0, 20.0, loss)],
+                     {1: Generator(100.0, linear_cost(1.0, 100.0))}, {2: 10.0})
     net, prov = reduce_to_network(grid, 0.5)
     res = solve_mincost(net)
     assert res.feasible

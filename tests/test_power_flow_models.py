@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 
 from gridctl.graph_algorithms import Multigraph
-from gridctl.grid_model import (Branch, ControlSet, Flow, Generator, PowerGrid,
-                                UnknownBus, check_feasible, flow_cost,
-                                net_outflow)
+from gridctl.grid_model import (Branch, DomainExceeded, Flow, Generator,
+                                PowerGrid, UnknownBus, check_feasible,
+                                flow_cost, net_outflow)
 from gridctl import lp_engine
 from gridctl.lp_engine import LpStatus, NumericalBreakdown, solve_lp
 from gridctl.power_flow_models import (AngleCheck, InfeasibleModel,
@@ -77,6 +77,19 @@ def test_unknown_control_bus_raises():
     grid = get_case("case9")
     with pytest.raises(UnknownBus):
         solve_model(grid, hybrid_model([999]), 1.0)
+    with pytest.raises(UnknownBus):
+        cactus_equivalent_flow(grid, [999], Flow(grid))
+
+
+def test_a_nan_flow_fails_every_check():
+    grid = get_case("case9")
+    flow = Flow(grid, [math.nan] * len(grid.branches))
+    report = check_feasible(grid, flow)
+    assert not report.ok and len(report.violations) == len(grid.branches) + len(grid.buses)
+    angles = check_electrical_feasibility(grid, flow, grid.buses)
+    assert not angles.feasible and math.isnan(angles.max_residual)
+    with pytest.raises(DomainExceeded):
+        flow_cost(grid, flow, 0.5)
 
 
 def test_case14_at_the_load_limit_gives_a_verdict():
